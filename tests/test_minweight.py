@@ -152,10 +152,13 @@ class TestCountWords:
                 k: v for k, v in brute.counts.items() if k <= n // 2
             }
 
-    def test_budget_partial_is_exact_prefix(self, rng):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_budget_partial_is_exact_prefix(self, rng, workers):
         c = random_self_dual(24, rng)
         full = brute_force_wef(c)
-        got = count_words_upto(c, 12, SearchBudget(max_enumerated=50))
+        got = count_words_upto(
+            c, 12, SearchBudget(max_enumerated=50), workers=workers
+        )
         assert got.complete_upto <= 12
         for w, cnt in got.counts.items():
             assert w <= got.complete_upto
@@ -201,20 +204,26 @@ class TestCosets:
 
 
 class TestDeterminism:
-    def test_chunk_size_invariance(self, rng, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_size_invariance(self, rng, monkeypatch, workers):
         c = random_self_dual(24, rng)
         a = count_words_upto(c, 10)
         monkeypatch.setattr(mw, "_CHUNK", 37)
-        b = count_words_upto(c, 10)
+        b = count_words_upto(c, 10, workers=workers)
         assert a == b
 
-    def test_materialization_cap_invariance(self, rng, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_materialization_cap_invariance(self, rng, monkeypatch, workers):
         c = random_self_dual(22, rng)
+        x = BitVector(22, rng.getrandbits(22) | 1)
         a = count_words_upto(c, 10)
         monkeypatch.setattr(mw, "_MAT_CAP", 12)  # forces the suffix-tuple path
-        b = count_words_upto(c, 10)
+        b = count_words_upto(c, 10, workers=workers)
         assert a == b
         assert min_weight(c) == brute_min(c)
+        coset = count_coset_upto(c, x, 11, workers=workers)
+        brute = brute_force_coset_wef(c, x)
+        assert coset.counts == {k: v for k, v in brute.counts.items() if k <= 11}
 
     def test_worker_invariance(self, rng):
         c = random_self_dual(28, rng)
