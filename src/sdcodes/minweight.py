@@ -24,6 +24,13 @@ of a set is materialized in colex order from level r - 1 while it fits in
 memory; higher levels are streamed as suffix tuples XORed onto the largest
 materialized level.  Counts are deterministic: they do not depend on chunk
 sizes or on the number of workers.
+
+Every level is cut into the same chunk descriptors, and one tally routine
+applies the weight and dedup filter to a chunk.  Serial counting is the
+one-worker case of that chunk loop; with more workers the same descriptors
+go to a per-level pool of forked processes.  Workers are forked rather
+than spawned because they read the materialized levels (about 170 MB at
+n = 82) copy-on-write instead of receiving a pickled copy.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from math import comb, inf
-from multiprocessing import get_context
-from typing import Iterator, Mapping
+from multiprocessing import get_all_start_methods, get_context
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -225,6 +232,11 @@ class _Engine:
                 mask |= 1 << col
             s.mask_np = _pack(mask, self.words)
         self.step, self.residue = _parity_step(gen_rows, off)
+        # deepest level materialized; higher levels stream as suffix tuples
+        r = 0
+        while r < self.k and comb(self.k, r + 1) <= _MAT_CAP:
+            r += 1
+        self.mat_limit = r
         # per-set materialized colex levels: _mat[si][r] has C(k, r) rows
         self._mat: list[list[np.ndarray]] = [
             [s.base_np.reshape(1, -1).copy()] for s in self.sets
@@ -251,14 +263,6 @@ class _Engine:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Exhausted
 
-    def _mat_limit(self, si: int) -> int:
-        """Largest level of set si worth materializing."""
-        k = self.k
-        r = 0
-        while r + 1 <= k and comb(k, r + 1) <= _MAT_CAP:
-            r += 1
-        return r
-
     def _materialize(self, si: int, r: int):
         """Extends the cached colex levels of set si up to level r.
 
@@ -282,27 +286,36 @@ class _Engine:
             assert nxt.shape[0] == comb(self.k, prev + 1)
             mat.append(nxt)
 
-    def _level_chunks(self, si: int, r: int) -> Iterator[np.ndarray]:
-        """Yields the level-r rows of set si (offset folded in) in chunks."""
-        s = self.sets[si]
-        limit = self._mat_limit(si)
-        if r <= limit:
-            self._materialize(si, r)
-            arr = self._mat[si][r]
-            for lo in range(0, arr.shape[0], _CHUNK):
-                yield arr[lo : lo + _CHUNK]
-            return
-        b = limit
+    def _chunks(self, si: int, r: int) -> Iterator[tuple]:
+        """Chunk descriptors (b, tup, lo, hi) covering level r of set si.
+
+        A descriptor stands for rows lo..hi of materialized level b, each
+        XORed with the rows of set si listed in the suffix tuple ``tup``;
+        ``tup`` is empty when level r itself is materialized.  Level b is
+        materialized before this returns, so a pool forked afterwards
+        shares it; the descriptors are then produced lazily.
+        """
+        b = min(r, self.mat_limit)
         self._materialize(si, b)
-        prefix = self._mat[si][b]
-        for tup in itertools.combinations(range(b, self.k), r - b):
-            cnt = comb(tup[0], b)
-            if cnt == 0:
-                continue
-            delta = s.rows_np[list(tup)]
-            xor = np.bitwise_xor.reduce(delta, axis=0)
-            for lo in range(0, cnt, _CHUNK):
-                yield prefix[lo : min(lo + _CHUNK, cnt)] ^ xor
+
+        def descriptors():
+            for tup in itertools.combinations(range(b, self.k), r - b):
+                # the suffix fixes the top row, so only colex rows below it
+                cnt = comb(tup[0] if tup else self.k, b)
+                for lo in range(0, cnt, _CHUNK):
+                    yield b, tup, lo, min(lo + _CHUNK, cnt)
+
+        return descriptors()
+
+    def _rows(self, si: int, chunk: tuple) -> np.ndarray:
+        """The rows (offset folded in) that a chunk descriptor stands for."""
+        b, tup, lo, hi = chunk
+        rows = self._mat[si][b][lo:hi]
+        if tup:
+            rows = rows ^ np.bitwise_xor.reduce(
+                self.sets[si].rows_np[list(tup)], axis=0
+            )
+        return rows
 
     def raw_bound(self, levels: list[int]) -> int:
         raw = sum(
@@ -334,13 +347,14 @@ class _Engine:
                 if nxt is None:
                     break  # whole space enumerated: hi is the true minimum
                 r = levels[nxt] + 1
-                for chunk in self._level_chunks(nxt, r):
-                    wts = _weights_of(chunk)
+                for chunk in self._chunks(nxt, r):
+                    rows = self._rows(nxt, chunk)
+                    wts = _weights_of(rows)
                     if not include_zero:
                         wts = wts[wts > 0]
                     if wts.size:
                         hi = min(hi, int(wts.min()))
-                    self._charge(chunk.shape[0])
+                    self._charge(rows.shape[0])
                 levels[nxt] = r
         except _Exhausted:
             complete = False
@@ -365,123 +379,19 @@ class _Engine:
             levels[nxt] += 1
         return levels
 
-    def run_count(self, w: int) -> tuple[dict[int, int], int]:
-        """Counts elements of weight <= w; returns (counts, certified_upto).
-
-        Sets are processed in order, each to its planned level.  An element
-        is tallied at the first set whose pivot-column restriction is small
-        enough to have produced it; later sets skip it by that same test,
-        so completed earlier sets make the rule exact under any schedule.
-        """
-        plan = self.plan_levels(w)
-        tally = np.zeros(w + 1, dtype=np.int64)
-        done = [-1] * len(self.sets)
-        exhausted = False
-        try:
-            for si in range(len(self.sets)):
-                earlier = self.sets[:si]
-                caps = [plan[j] for j in range(si)]
-                for r in range(0, plan[si] + 1):
-                    for chunk in self._level_chunks(si, r):
-                        size = chunk.shape[0]
-                        wts = _weights_of(chunk)
-                        keep = wts <= w
-                        vals = chunk[keep]
-                        wts = wts[keep]
-                        for s2, cap in zip(earlier, caps):
-                            if vals.shape[0] == 0:
-                                break
-                            inside = np.bitwise_count(vals & s2.mask_np).sum(
-                                axis=1, dtype=np.int64
-                            )
-                            keep2 = inside > cap
-                            vals = vals[keep2]
-                            wts = wts[keep2]
-                        if wts.size:
-                            tally += np.bincount(wts, minlength=w + 1)
-                        self._charge(size)
-                    done[si] = r
-        except _Exhausted:
-            exhausted = True
-        certified = min(w, self.raw_bound(done) - 1) if exhausted else w
-        counts = {
-            i: int(c) for i, c in enumerate(tally) if c and i <= certified
-        }
-        return counts, certified
-
-    def run_count_parallel(
-        self, w: int, workers: int
-    ) -> tuple[dict[int, int], int]:
-        """Same counts as run_count, with chunks farmed to forked workers.
-
-        Tallies are merged by summation, so the result cannot depend on
-        scheduling.  The budget is checked between completed chunks.
-        """
-        global _FORK_ENGINE
-        plan = self.plan_levels(w)
-        tally = np.zeros(w + 1, dtype=np.int64)
-        done = [-1] * len(self.sets)
-        exhausted = False
-        ctx = get_context("fork")
-        try:
-            for si in range(len(self.sets)):
-                if exhausted:
-                    break
-                caps = [plan[j] for j in range(si)]
-                for r in range(0, plan[si] + 1):
-                    self._materialize(si, min(r, self._mat_limit(si)))
-                    _FORK_ENGINE = (self, si, w, caps)
-                    descs = list(self._chunk_descriptors(si, r))
-                    with ctx.Pool(workers) as pool:
-                        for part, size in pool.imap(_fork_count_chunk, descs):
-                            tally += part
-                            try:
-                                self._charge(size)
-                            except _Exhausted:
-                                exhausted = True
-                                pool.terminate()
-                                break
-                    if exhausted:
-                        break
-                    done[si] = r
-        finally:
-            _FORK_ENGINE = None
-        certified = min(w, self.raw_bound(done) - 1) if exhausted else w
-        counts = {
-            i: int(c) for i, c in enumerate(tally) if c and i <= certified
-        }
-        return counts, certified
-
-    def _chunk_descriptors(self, si: int, r: int):
-        limit = self._mat_limit(si)
-        if r <= limit:
-            total = comb(self.k, r)
-            for lo in range(0, total, _CHUNK):
-                yield ("mat", r, lo, min(lo + _CHUNK, total))
-        else:
-            b = limit
-            for tup in itertools.combinations(range(b, self.k), r - b):
-                cnt = comb(tup[0], b)
-                for lo in range(0, cnt, _CHUNK):
-                    yield ("suf", tup, lo, min(lo + _CHUNK, cnt))
-
-    def count_chunk(
-        self, si: int, desc, w: int, caps: list[int]
+    def tally(
+        self, si: int, w: int, caps: list[int], chunk: tuple
     ) -> tuple[np.ndarray, int]:
-        """Processes one chunk descriptor; used by the fork workers."""
-        s = self.sets[si]
-        if desc[0] == "mat":
-            _, r, lo, hi = desc
-            chunk = self._mat[si][r][lo:hi]
-        else:
-            _, tup, lo, hi = desc
-            b = self._mat_limit(si)
-            xor = np.bitwise_xor.reduce(s.rows_np[list(tup)], axis=0)
-            chunk = self._mat[si][b][lo:hi] ^ xor
-        size = chunk.shape[0]
-        wts = _weights_of(chunk)
+        """Weight histogram of one chunk, and the chunk's row count.
+
+        Only rows of weight <= w are tallied, and of those only the ones
+        whose restriction to some earlier set j's pivot columns has more
+        than caps[j] ones: the rest were already tallied at set j.
+        """
+        rows = self._rows(si, chunk)
+        wts = _weights_of(rows)
         keep = wts <= w
-        vals = chunk[keep]
+        vals = rows[keep]
         wts = wts[keep]
         for s2, cap in zip(self.sets, caps):
             if vals.shape[0] == 0:
@@ -492,31 +402,71 @@ class _Engine:
             keep2 = inside > cap
             vals = vals[keep2]
             wts = wts[keep2]
-        part = (
-            np.bincount(wts, minlength=w + 1)
-            if wts.size
-            else np.zeros(w + 1, dtype=np.int64)
-        )
-        return part, size
+        return np.bincount(wts, minlength=w + 1), rows.shape[0]
+
+    def run_count(self, w: int, workers: int) -> tuple[dict[int, int], int]:
+        """Counts elements of weight <= w; returns (counts, certified_upto).
+
+        Sets are processed in order, each to its planned level.  An element
+        is tallied at the first set whose pivot-column restriction is small
+        enough to have produced it; later sets skip it by that same test,
+        so completed earlier sets make the rule exact under any schedule.
+        With more than one worker, each level's chunks are tallied by a
+        pool forked after the level is materialized.  Tallies are merged by
+        summation, so the result cannot depend on scheduling; the budget is
+        charged after each merged chunk.
+        """
+        plan = self.plan_levels(w)
+        hist = np.zeros(w + 1, dtype=np.int64)
+        done = [-1] * len(self.sets)
+        fork = workers > 1 and "fork" in get_all_start_methods()
+        exhausted = False
+        try:
+            for si in range(len(self.sets)):
+                caps = plan[:si]
+                for r in range(0, plan[si] + 1):
+                    chunks = self._chunks(si, r)
+                    if fork:
+                        with get_context("fork").Pool(
+                            workers, _fork_init, (self, si, w, caps)
+                        ) as pool:
+                            self._merge(hist, pool.imap(_fork_tally, chunks))
+                    else:
+                        self._merge(
+                            hist, (self.tally(si, w, caps, c) for c in chunks)
+                        )
+                    done[si] = r
+        except _Exhausted:
+            exhausted = True
+        certified = min(w, self.raw_bound(done) - 1) if exhausted else w
+        counts = {
+            i: int(c) for i, c in enumerate(hist) if c and i <= certified
+        }
+        return counts, certified
+
+    def _merge(
+        self, hist: np.ndarray, parts: Iterable[tuple[np.ndarray, int]]
+    ):
+        for part, size in parts:
+            hist += part
+            self._charge(size)
 
 
+# set in each forked worker by _fork_init; the parent never assigns it
 _FORK_ENGINE = None
 
 
-def _fork_count_chunk(desc):
+def _fork_init(engine: _Engine, si: int, w: int, caps: list[int]):
+    global _FORK_ENGINE
+    _FORK_ENGINE = (engine, si, w, caps)
+
+
+def _fork_tally(chunk: tuple) -> tuple[np.ndarray, int]:
     engine, si, w, caps = _FORK_ENGINE
-    return engine.count_chunk(si, desc, w, caps)
+    return engine.tally(si, w, caps, chunk)
 
 
 # -- public operations ------------------------------------------------------
-
-
-def _dispatch_count(engine: _Engine, w: int, workers: int):
-    import multiprocessing
-
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        return engine.run_count_parallel(w, workers)
-    return engine.run_count(w)
 
 
 def min_weight(
@@ -565,7 +515,7 @@ def count_words_upto(
         raise ValueError("w must be nonnegative")
     engine = _Engine(code, None)
     engine.set_budget(budget)
-    counts, certified = _dispatch_count(engine, w, workers)
+    counts, certified = engine.run_count(w, workers)
     return WeightDistribution(
         counts=counts, complete_upto=certified, total_dim=code.dimension
     )
@@ -586,7 +536,7 @@ def count_coset_upto(
         raise ValueError("w must be nonnegative")
     engine = _Engine(code, x)
     engine.set_budget(budget)
-    counts, certified = _dispatch_count(engine, w, workers)
+    counts, certified = engine.run_count(w, workers)
     return WeightDistribution(
         counts=counts, complete_upto=certified, total_dim=code.dimension
     )
