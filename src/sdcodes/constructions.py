@@ -9,10 +9,8 @@ the fifty recorded self-dual neighbors of that code.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from importlib import resources
 
 from .gf2core import BitVector, LinearCode, concat, coset_split
 
@@ -32,7 +30,6 @@ __all__ = [
     "neighbor_counts",
     "neighbor_parameters",
     "table1",
-    "table1_from_file",
 ]
 
 # first row of the 39 x 39 circulant block of the [80,40,16] code
@@ -207,25 +204,10 @@ class NeighborSpec:
 
 
 def table1() -> tuple[NeighborSpec, ...]:
-    """The fifty recorded [82,41,14] neighbors (compiled-in copy)."""
+    """The fifty recorded [82,41,14] neighbors."""
     return tuple(
         NeighborSpec(index=i, family=f, alpha=a, beta=b, support=sup)
         for i, f, a, b, sup in _TABLE1
-    )
-
-
-def table1_from_file() -> tuple[NeighborSpec, ...]:
-    """The same fifty neighbors, read from the shipped data file."""
-    text = resources.files("sdcodes.data").joinpath("table1.json").read_text()
-    return tuple(
-        NeighborSpec(
-            index=row["id"],
-            family=row["family"],
-            alpha=row["alpha"],
-            beta=row["beta"],
-            support=tuple(row["support"]),
-        )
-        for row in json.loads(text)
     )
 
 

@@ -331,7 +331,7 @@ class ShadowCoset:
     rep: BitVector
 
     def __contains__(self, v: BitVector) -> bool:
-        return (v ^ self.rep) in self.c0 or (v ^ self.rep) in self.code
+        return (v ^ self.rep) in self.code
 
 
 def dual(code: LinearCode) -> LinearCode:
@@ -405,7 +405,6 @@ def shadow(code: LinearCode) -> ShadowCoset:
     """
     c0 = doubly_even_subcode(code)
     c0_perp = dual(c0)
-    in_c = [v for v in c0_perp.generators.rows if v in code]
     out_c = [v for v in c0_perp.generators.rows if v not in code]
     if not out_c:
         raise ValueError("dual of C0 does not extend C")  # unreachable for valid input

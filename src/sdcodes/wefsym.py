@@ -16,9 +16,9 @@ no floating point in this module.  The pipeline is:
      enumerator of one shadow half-coset and extract the parity
      restrictions (gamma, c, d, e even) its integrality forces.
 
-Polynomials are sparse maps exponent -> coefficient, where a coefficient
-is either a rational (RationalPoly) or an affine-linear form in named
-parameters (ParamPoly).
+Polynomials are sparse maps exponent -> coefficient: plain dicts of
+rationals internally, and ParamPoly, whose coefficients are affine-linear
+forms in named parameters, for every family the module returns.
 """
 
 from __future__ import annotations
@@ -168,17 +168,6 @@ _ZERO = LinearForm.make(0)
 # -- sparse polynomial helpers (plain dicts internally) ---------------------
 
 
-def _padd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return out
-
-
 def _pmul(a: dict, b: dict) -> dict:
     out: dict = {}
     for e1, c1 in a.items():
@@ -210,43 +199,10 @@ def _pscale(a: dict, s: Fraction) -> dict:
 
 
 @dataclass(frozen=True)
-class RationalPoly:
-    """A univariate polynomial with exact rational coefficients, sparse."""
-
-    coefficients: tuple[tuple[int, Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, d: Mapping[int, Rational]) -> "RationalPoly":
-        clean = {int(e): Fraction(c) for e, c in d.items() if c}
-        return cls(tuple(sorted(clean.items())))
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coefficients)
-
-    def coeff(self, e: int) -> Fraction:
-        for ee, c in self.coefficients:
-            if ee == e:
-                return c
-        return Fraction(0)
-
-    @property
-    def degree(self) -> int:
-        return self.coefficients[-1][0] if self.coefficients else -1
-
-    def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        return " + ".join(
-            f"{_fmt(c)}*y^{e}" if e else _fmt(c) for e, c in self.coefficients
-        )
-
-
-@dataclass(frozen=True)
 class ParamPoly:
     """A polynomial whose coefficients are LinearForm values.
 
-    Substituting rationals for every parameter turns it into a
-    RationalPoly; this is the representation of every W_C / W_S family.
+    This is the representation of every W_C / W_S family.
     """
 
     coefficients: tuple[tuple[int, LinearForm], ...]
@@ -280,14 +236,6 @@ class ParamPoly:
     def substitute(self, mapping: Mapping[str, LinearForm | Rational]) -> "ParamPoly":
         return ParamPoly.from_dict(
             {e: f.substitute(mapping) for e, f in self.coefficients}
-        )
-
-    def to_rational(self) -> RationalPoly:
-        bad = self.params
-        if bad:
-            raise ValueError(f"free parameters remain: {', '.join(bad)}")
-        return RationalPoly.from_dict(
-            {e: f.constant for e, f in self.coefficients}
         )
 
     def truncate(self, max_exponent: int) -> "ParamPoly":

@@ -16,7 +16,6 @@ from sdcodes.constructions import (
     neighbor_counts,
     neighbor_parameters,
     table1,
-    table1_from_file,
     tsai_extend,
 )
 from sdcodes.gf2core import (
@@ -194,7 +193,6 @@ class TestTable1:
         rows = table1()
         assert len(rows) == 50
         assert [r.index for r in rows] == list(range(1, 51))
-        assert rows == table1_from_file()
         for r in rows:
             assert len(r.support) == 14
             assert list(r.support) == sorted(set(r.support))
