@@ -80,6 +80,41 @@ class TestBruteForce:
         assert total == 1 << c.dimension
 
 
+def check_info_sets(c):
+    """The information-set invariants the lower bound relies on."""
+    gens = [r.bits for r in c.generators.rows]
+    k = len(gens)
+    sets = mw._build_info_sets(gens, c.length)
+    assert sets and sets[0].rows_int == gens
+    used = set()
+    for s in sets:
+        assert len(s.rows_int) == len(s.pivots) == k
+        for i, row in enumerate(s.rows_int):
+            assert [row >> p & 1 for p in s.pivots] == [int(i == j) for j in range(k)]
+        assert LinearCode.from_rows(c.length, s.rows_int) == c
+        fresh = s.pivots[: k - s.defect]
+        assert fresh and used.isdisjoint(fresh)
+        assert set(s.pivots[k - s.defect :]) <= used
+        used.update(fresh)
+    return sets
+
+
+class TestInfoSets:
+    def test_random_codes(self, rng):
+        for _ in range(30):
+            c = random_code(rng.randrange(4, 24), 14, rng)
+            if c is not None:
+                check_info_sets(c)
+
+    def test_random_self_dual(self, rng):
+        for n in (8, 12, 20, 26):
+            check_info_sets(random_self_dual(n, rng))
+
+    def test_defective_case(self):
+        sets = check_info_sets(LinearCode.from_rows(4, ["1100", "1010"]))
+        assert [s.defect for s in sets] == [0, 1]
+
+
 class TestMinWeight:
     def test_known_codes(self):
         assert min_weight(e8_code()) == 4

@@ -203,6 +203,15 @@ class TestParity:
         assert form == LinearForm.var(ref.PARITY_PARAM[k])
         assert str(sys) == f"{ref.PARITY_PARAM[k]} == 0 (mod 2)"
 
+    @pytest.mark.parametrize("k", sorted(ref.PARITY_PARAM))
+    @pytest.mark.parametrize("max_exponent", [0, 8, 12, 16, 20, 56])
+    def test_max_exponent(self, k, max_exponent):
+        # the first W(1) coefficient forcing a congruence is y^(4k+1)
+        if max_exponent <= 4 * k:
+            assert str(derive_parity(k, max_exponent)) == "(no congruences)"
+        else:
+            assert derive_parity(k, max_exponent) == derive_parity(k)
+
     def test_range_checks(self):
         with pytest.raises(ValueError):
             derive_parity(1)
