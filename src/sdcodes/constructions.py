@@ -12,25 +12,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .gf2core import BitVector, LinearCode, concat, coset_split
+from .gf2core import BitVector, LinearCode, _kernel_rows, concat, coset_split
 
 logger = logging.getLogger(__name__)
-
-__all__ = [
-    "B80_FIRST_ROW",
-    "X80_SUPPORT",
-    "CirculantSpec",
-    "NeighborSpec",
-    "FAMILY_CASES",
-    "bordered_double_circulant",
-    "tsai_extend",
-    "build_b80",
-    "build_c82",
-    "neighbor",
-    "neighbor_counts",
-    "neighbor_parameters",
-    "table1",
-]
 
 # first row of the 39 x 39 circulant block of the [80,40,16] code
 B80_FIRST_ROW = "111100000100101111101011101001101100011"
@@ -149,11 +133,8 @@ def neighbor(c: LinearCode, x: BitVector) -> LinearCode:
         raise ValueError("x must have even weight")
     if x in c:
         raise ValueError("x is already a codeword; the neighbor would be C itself")
-    ortho = [r for r in c.generators.rows if r.dot(x) == 0]
-    rest = [r for r in c.generators.rows if r.dot(x) == 1]
-    anchor = rest[0]
-    rows = ortho + [anchor ^ r for r in rest[1:]] + [x]
-    return LinearCode.from_rows(c.length, rows)
+    rows, _ = _kernel_rows(c, x.dot)
+    return LinearCode.from_rows(c.length, rows + [x])
 
 
 def neighbor_counts(alpha: int, beta: int) -> tuple[int, int]:
@@ -198,9 +179,6 @@ class NeighborSpec:
 
     def build(self, base: LinearCode) -> LinearCode:
         return neighbor(base, self.vector())
-
-    def expected_counts(self) -> tuple[int, int]:
-        return neighbor_counts(self.alpha, self.beta)
 
 
 def table1() -> tuple[NeighborSpec, ...]:

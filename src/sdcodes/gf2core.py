@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -172,6 +172,37 @@ class BitMatrix:
         return "\n".join(r.to01() for r in self.rows)
 
 
+def eliminate(
+    rows: Sequence[int], cols: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan elimination over GF(2) on packed-int rows.
+
+    Columns are tried in the order given.  A column with a 1 in some row
+    not yet pivoted becomes a pivot and is cleared in every other row.
+
+    Returns:
+        A pair (work, pivots).  ``work[:len(pivots)]`` are the pivot rows,
+        row i holding a 1 in column ``pivots[i]``; the remaining rows
+        vanish on every column of ``cols``.
+    """
+    work = list(rows)
+    pivots: list[int] = []
+    for col in cols:
+        rank = len(pivots)
+        if rank == len(work):
+            break
+        mask = 1 << col
+        pivot = next((i for i in range(rank, len(work)) if work[i] & mask), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i] & mask:
+                work[i] ^= work[rank]
+        pivots.append(col)
+    return work, pivots
+
+
 def rref(matrix: BitMatrix) -> tuple[BitMatrix, int, tuple[int, ...]]:
     """Reduced row echelon form over GF(2).
 
@@ -182,20 +213,8 @@ def rref(matrix: BitMatrix) -> tuple[BitMatrix, int, tuple[int, ...]]:
         in increasing order.
     """
     n = matrix.length
-    work = [r.bits for r in matrix.rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        mask = 1 << col
-        pivot = next((i for i in range(rank, len(work)) if work[i] & mask), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i] & mask:
-                work[i] ^= work[rank]
-        pivots.append(col)
-        rank += 1
+    work, pivots = eliminate([r.bits for r in matrix.rows], range(n))
+    rank = len(pivots)
     reduced = BitMatrix(n, tuple(BitVector(n, w) for w in work[:rank]))
     return reduced, rank, tuple(pivots)
 
@@ -243,15 +262,6 @@ class LinearCode:
 
     @property
     def dimension(self) -> int:
-        return self.generators.num_rows
-
-    # Short aliases used throughout the numeric modules.
-    @property
-    def n(self) -> int:
-        return self.length
-
-    @property
-    def k(self) -> int:
         return self.generators.num_rows
 
     @cached_property
@@ -373,22 +383,34 @@ def parity_class(code: LinearCode) -> ParityClass:
     return ParityClass.SINGLY_EVEN
 
 
+def _kernel_rows(
+    code: LinearCode, f: Callable[[BitVector], int]
+) -> tuple[list[BitVector], BitVector | None]:
+    """Rows spanning {c in C : f(c) = 0} for a functional f linear on C.
+
+    Returns the rows and the anchor: the first generator with f = 1, which
+    is XORed onto every other such generator.  When f vanishes on C the
+    anchor is None and the rows are C's generators.
+    """
+    ortho = [r for r in code.generators.rows if not f(r)]
+    rest = [r for r in code.generators.rows if f(r)]
+    if not rest:
+        return ortho, None
+    anchor = rest[0]
+    return ortho + [anchor ^ r for r in rest[1:]], anchor
+
+
 def doubly_even_subcode(code: LinearCode) -> LinearCode:
     """The doubly even subcode C0 of a singly even self-dual code.
 
     C0 collects the codewords of weight divisible by 4 and has index 2.
-    Generators with weight 2 mod 4 are corrected by XOR with one fixed
-    such generator, which preserves the span over the new subcode.
+    Self-duality makes generator overlaps even, so wt/2 mod 2 is linear
+    on C, and C0 is the subcode where it vanishes.
     """
     if parity_class(code) is not ParityClass.SINGLY_EVEN:
         raise ValueError("expected a singly even self-dual code")
-    odd = [r for r in code.generators.rows if r.weight % 4 == 2]
-    keep = [r for r in code.generators.rows if r.weight % 4 == 0]
-    anchor = odd[0]
-    # Self-duality makes generator overlaps even, so wt(anchor ^ r) =
-    # 2 + 2 - 2*(even) = 0 mod 4 for every other weight-2-mod-4 row r.
-    fixed = [anchor ^ r for r in odd[1:]]
-    sub = LinearCode.from_rows(code.length, keep + fixed)
+    rows, _ = _kernel_rows(code, lambda r: r.weight >> 1 & 1)
+    sub = LinearCode.from_rows(code.length, rows)
     assert sub.dimension == code.dimension - 1
     assert all(r.weight % 4 == 0 for r in sub.generators.rows)
     return sub
@@ -432,12 +454,10 @@ def coset_split(code: LinearCode, x: BitVector) -> CosetSplit:
         raise ValueError("x must have odd weight")
     if not code.is_self_dual or parity_class(code) is not ParityClass.DOUBLY_EVEN:
         raise ValueError("expected a doubly even self-dual code")
-    ortho = [r for r in code.generators.rows if r.dot(x) == 0]
-    rest = [r for r in code.generators.rows if r.dot(x) == 1]
     # x has odd weight while every codeword weight is even, so x is not in
     # C = C^perp and some generator fails orthogonality with x.
-    anchor = rest[0]
-    c0 = LinearCode.from_rows(code.length, ortho + [anchor ^ r for r in rest[1:]])
+    rows, anchor = _kernel_rows(code, x.dot)
+    c0 = LinearCode.from_rows(code.length, rows)
     assert c0.dimension == code.dimension - 1
     r1 = c0.coset_rep(x)
     r2 = c0.coset_rep(anchor)

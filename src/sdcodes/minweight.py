@@ -2,7 +2,8 @@
 
 The workhorse is an information-set enumeration in the Brouwer-Zimmermann
 style.  Disjoint (up to borrowed columns) information sets are extracted
-from the generator matrix; enumerating all codewords that use at most r
+from the generator matrix by ``gf2core.eliminate``, fresh columns tried
+before borrowed ones; enumerating all codewords that use at most r
 rows of each set gives, once level r is complete on every set, the lower
 bound
 
@@ -44,7 +45,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .gf2core import BitVector, LinearCode
+from .gf2core import BitVector, LinearCode, eliminate
 
 _CHUNK = 1 << 20
 # cap on a materialized level's row count (C(41, 6) = 4.5M fits, C(41, 7) not)
@@ -123,55 +124,29 @@ class _InfoSet:
     defect: int  # pivot columns borrowed from earlier sets
     rows_np: np.ndarray = field(init=False)
     mask_np: np.ndarray = field(init=False)
-    base_int: int = 0  # offset vector reduced to vanish on the pivots
     base_np: np.ndarray = field(init=False)
 
 
 def _build_info_sets(gen_rows: list[int], n: int) -> list[_InfoSet]:
     """Greedy disjoint information sets, left to right.
 
-    Each round runs an elimination over the original generators, taking
-    pivots first from columns unused by earlier sets.  When no fresh
-    column yields a pivot the basis is completed on used columns; those
-    count toward the set's defect.  Rounds stop when a set would have
-    no fresh column at all.
+    Each round eliminates the original generators over the columns unused
+    by earlier sets first, then over the used ones; pivots on used columns
+    count toward the set's defect.  Rounds stop when a set would have no
+    fresh column at all.
     """
     k = len(gen_rows)
     sets: list[_InfoSet] = []
-    used = 0
+    used: set[int] = set()
     while True:
-        fresh_cols = [c for c in range(n) if not used >> c & 1]
-        old_cols = [c for c in range(n) if used >> c & 1]
-        work = list(gen_rows)
-        pivots: list[int] = []
-        rank = 0
-        fresh_rank = 0
-        for phase, cols in enumerate((fresh_cols, old_cols)):
-            for col in cols:
-                mask = 1 << col
-                pivot = next(
-                    (i for i in range(rank, k) if work[i] & mask), None
-                )
-                if pivot is None:
-                    continue
-                work[rank], work[pivot] = work[pivot], work[rank]
-                for i in range(k):
-                    if i != rank and work[i] & mask:
-                        work[i] ^= work[rank]
-                pivots.append(col)
-                rank += 1
-                if phase == 0:
-                    fresh_rank += 1
-                if rank == k:
-                    break
-            if rank == k:
-                break
-        if fresh_rank == 0:
+        fresh = [c for c in range(n) if c not in used]
+        work, pivots = eliminate(gen_rows, fresh + sorted(used))
+        fresh_pivots = [c for c in pivots if c not in used]
+        if not fresh_pivots:
             break
-        for col in pivots[:fresh_rank]:
-            used |= 1 << col
+        used.update(fresh_pivots)
         sets.append(
-            _InfoSet(rows_int=work[:k], pivots=pivots, defect=k - fresh_rank)
+            _InfoSet(rows_int=work, pivots=pivots, defect=k - len(fresh_pivots))
         )
     return sets
 
@@ -208,7 +183,14 @@ class _Exhausted(Exception):
 
 
 class _Engine:
-    def __init__(self, code: LinearCode, offset: BitVector | None):
+    def __init__(
+        self,
+        code: LinearCode,
+        offset: BitVector | None,
+        budget: SearchBudget | None,
+    ):
+        if offset is not None and offset.length != code.length:
+            raise ValueError("x has the wrong length")
         if code.dimension == 0:
             raise ValueError("the zero code has no enumerable words")
         self.n = code.length
@@ -222,7 +204,6 @@ class _Engine:
             for row, col in zip(s.rows_int, s.pivots):
                 if base >> col & 1:
                     base ^= row
-            s.base_int = base
             s.base_np = _pack(base, self.words)
             s.rows_np = np.array(
                 [_pack(r, self.words) for r in s.rows_int], dtype=np.uint64
@@ -242,12 +223,8 @@ class _Engine:
             [s.base_np.reshape(1, -1).copy()] for s in self.sets
         ]
         self.enumerated = 0
-        self.max_enum: float = inf
-        self.deadline: float | None = None
-
-    def set_budget(self, budget: SearchBudget | None):
         budget = budget or SearchBudget()
-        self.max_enum = (
+        self.max_enum: float = (
             budget.max_enumerated if budget.max_enumerated is not None else inf
         )
         self.deadline = (
@@ -323,6 +300,14 @@ class _Engine:
         )
         return _round_up(raw, self.step, self.residue)
 
+    def next_set(self, levels: list[int]) -> int | None:
+        """The set whose next level is cheapest; None once all are complete."""
+        return min(
+            (i for i in range(len(self.sets)) if levels[i] < self.k),
+            key=lambda i: comb(self.k, levels[i] + 1),
+            default=None,
+        )
+
     # -- minimum weight ----------------------------------------------------
 
     def run_min(self, include_zero: bool) -> tuple[int, int]:
@@ -339,11 +324,7 @@ class _Engine:
                 lb = self.raw_bound(levels)
                 if lb >= hi:
                     break
-                nxt = min(
-                    (i for i in range(len(self.sets)) if levels[i] < self.k),
-                    key=lambda i: comb(self.k, levels[i] + 1),
-                    default=None,
-                )
+                nxt = self.next_set(levels)
                 if nxt is None:
                     break  # whole space enumerated: hi is the true minimum
                 r = levels[nxt] + 1
@@ -369,11 +350,7 @@ class _Engine:
         """Cheapest static schedule whose bound certifies weights <= w."""
         levels = [0] * len(self.sets)
         while self.raw_bound(levels) <= w:
-            nxt = min(
-                (i for i in range(len(self.sets)) if levels[i] < self.k),
-                key=lambda i: comb(self.k, levels[i] + 1),
-                default=None,
-            )
+            nxt = self.next_set(levels)
             if nxt is None:
                 break  # full enumeration reached on every set
             levels[nxt] += 1
@@ -479,10 +456,7 @@ def min_weight(
     budget runs out first.  The bounds are always valid; exactness is
     exactly the condition lower == upper, which the int return signals.
     """
-    engine = _Engine(code, None)
-    engine.set_budget(budget)
-    lo, hi = engine.run_min(include_zero=False)
-    return hi if lo >= hi else (lo, hi)
+    return _min(code, None, False, budget)
 
 
 def coset_min_weight(
@@ -491,12 +465,7 @@ def coset_min_weight(
     budget: SearchBudget | None = None,
 ) -> int | tuple[int, int]:
     """Certified minimum weight of the coset x + C (x itself included)."""
-    if x.length != code.length:
-        raise ValueError("x has the wrong length")
-    engine = _Engine(code, x)
-    engine.set_budget(budget)
-    lo, hi = engine.run_min(include_zero=True)
-    return hi if lo >= hi else (lo, hi)
+    return _min(code, x, True, budget)
 
 
 def count_words_upto(
@@ -511,14 +480,7 @@ def count_words_upto(
     With a budget, the distribution may come back certified only up to a
     smaller weight; ``complete_upto`` always states what is exact.
     """
-    if w < 0:
-        raise ValueError("w must be nonnegative")
-    engine = _Engine(code, None)
-    engine.set_budget(budget)
-    counts, certified = engine.run_count(w, workers)
-    return WeightDistribution(
-        counts=counts, complete_upto=certified, total_dim=code.dimension
-    )
+    return _count(code, None, w, budget, workers)
 
 
 def count_coset_upto(
@@ -530,13 +492,29 @@ def count_coset_upto(
     workers: int = 1,
 ) -> WeightDistribution:
     """Exact counts of coset elements of x + C for every weight <= w."""
-    if x.length != code.length:
-        raise ValueError("x has the wrong length")
+    return _count(code, x, w, budget, workers)
+
+
+def _min(
+    code: LinearCode,
+    x: BitVector | None,
+    include_zero: bool,
+    budget: SearchBudget | None,
+) -> int | tuple[int, int]:
+    lo, hi = _Engine(code, x, budget).run_min(include_zero)
+    return hi if lo >= hi else (lo, hi)
+
+
+def _count(
+    code: LinearCode,
+    x: BitVector | None,
+    w: int,
+    budget: SearchBudget | None,
+    workers: int,
+) -> WeightDistribution:
     if w < 0:
         raise ValueError("w must be nonnegative")
-    engine = _Engine(code, x)
-    engine.set_budget(budget)
-    counts, certified = engine.run_count(w, workers)
+    counts, certified = _Engine(code, x, budget).run_count(w, workers)
     return WeightDistribution(
         counts=counts, complete_upto=certified, total_dim=code.dimension
     )

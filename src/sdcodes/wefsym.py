@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
+from .gf2core import eliminate
+
 Rational = Union[int, Fraction]
 
 
@@ -47,10 +49,6 @@ def _name_key(name: str) -> tuple[str, int]:
     if not m:
         raise ValueError(f"invalid parameter name {name!r}")
     return (m.group(1), int(m.group(2)) if m.group(2) else -1)
-
-
-def _fmt(q: Fraction) -> str:
-    return str(q)
 
 
 @dataclass(frozen=True)
@@ -145,14 +143,14 @@ class LinearForm:
     def __str__(self) -> str:
         parts = []
         if self.constant or not self.terms:
-            parts.append(_fmt(self.constant))
+            parts.append(str(self.constant))
         for n, c in self.terms:
             if c == 1:
                 term = n
             elif c == -1:
                 term = f"-{n}"
             else:
-                term = f"{_fmt(c)}*{n}"
+                term = f"{c}*{n}"
             if parts and not term.startswith("-"):
                 parts.append(f"+ {term}")
             elif parts:
@@ -330,12 +328,25 @@ class GleasonCoeffs:
         return ParamPoly.from_dict(_param_sum(zip(self.a, basis)))
 
 
-def _solve_for(eq: LinearForm, name: str) -> LinearForm:
-    """Solves eq == 0 for the named parameter."""
-    c = eq.coeff(name)
-    assert c != 0
-    rest = eq - LinearForm.make(0, {name: c})
-    return rest * (Fraction(-1) / c)
+def _pin(
+    mapping: dict[str, LinearForm],
+    form: LinearForm,
+    a_names: list[str],
+    what: str,
+):
+    """Solves form == 0 for its highest free a_j and records it in mapping.
+
+    Raises:
+        InconsistentConstraints: no a_j is left and the form is nonzero.
+    """
+    free = [nm for nm in form.names if nm in a_names]
+    if not free:
+        if form:
+            raise InconsistentConstraints(f"{what} forces {form} = 0")
+        return
+    pick = max(free, key=_name_key)
+    c = form.coeff(pick)
+    mapping[pick] = (form - LinearForm.make(0, {pick: c})) * (Fraction(-1) / c)
 
 
 def gleason_expand(
@@ -366,15 +377,7 @@ def gleason_expand(
     for w in sorted(known_A):
         target = LinearForm.of(known_A[w])
         form = sym.get(w, _ZERO).substitute(mapping) - target.substitute(mapping)
-        free = [nm for nm in form.names if nm in a_names]
-        if not free:
-            if form:
-                raise InconsistentConstraints(
-                    f"coefficient of y^{w} forces {form} = 0"
-                )
-            continue
-        pick = max(free, key=_name_key)
-        mapping[pick] = _solve_for(form, pick)
+        _pin(mapping, form, a_names, f"coefficient of y^{w}")
     a = tuple(
         mapping.get(nm, LinearForm.var(nm)).substitute(mapping)
         for nm in a_names
@@ -507,24 +510,16 @@ def apply_shadow_case(g: GleasonCoeffs, case: str) -> Family:
     def current(table: dict[int, LinearForm], w: int) -> LinearForm:
         return table.get(w, _ZERO).substitute(mapping)
 
-    def solve_constraint(form: LinearForm, what: str):
-        free = [nm for nm in form.names if nm in a_names]
-        if not free:
-            if form:
-                raise InconsistentConstraints(f"{what} forces {form} = 0")
-            return
-        pick = max(free, key=_name_key)
-        mapping[pick] = _solve_for(form, pick)
-
     d = _min_weight_of(sym_wc, mapping)
     for con in constraints:
         if con[0] == "B":
             _, w, value = con
-            solve_constraint(current(sym_ws, w) - value, f"B_{w} = {value}")
+            form = current(sym_ws, w) - value
+            _pin(mapping, form, a_names, f"B_{w} = {value}")
         else:
             d = _min_weight_of(sym_wc, mapping)
             eq = current(sym_wc, d) - current(sym_ws, d - 1)
-            solve_constraint(eq, f"A_{d} = B_{d - 1}")
+            _pin(mapping, eq, a_names, f"A_{d} = B_{d - 1}")
     for rn in renames:
         if rn[0] == "aj":
             _, j, scale, name = rn
@@ -537,7 +532,7 @@ def apply_shadow_case(g: GleasonCoeffs, case: str) -> Family:
         else:
             _, w, name = rn
             form = current(sym_ws, w) - LinearForm.var(name)
-            solve_constraint(form, f"naming B_{w} = {name}")
+            _pin(mapping, form, a_names, f"naming B_{w} = {name}")
     wc = ParamPoly.from_dict(sym_wc).substitute(mapping)
     ws = ParamPoly.from_dict(sym_ws).substitute(mapping)
     leftover = [nm for nm in wc.params if nm in a_names] + [
@@ -661,64 +656,29 @@ def derive_parity(k: int, max_exponent: int | None = None) -> CongruenceSystem:
         raise ValueError("k must be between 2 and 5")
     cutoff = max_exponent if max_exponent is not None else _W1_CUTOFF[k]
     w1 = w1_family(k)
-    b_names = {f"b{i}" for i in range(1, k)}
-    rows: list[tuple[dict[str, int], int]] = []
+    # GF(2) columns: the b_i first, then the shadow parameters, then the
+    # constant, so that rows pivoting past the b_i are free of them
+    b_names = [f"b{i}" for i in range(1, k)]
+    names = b_names + [nm for nm in w1.params if nm not in b_names]
+    rows = []
     for e, form in w1.coefficients:
         if e > cutoff:
             continue
         doubled = form * 2
-        bits = {}
-        for nm, c in doubled.terms:
-            if c.denominator != 1:
-                raise ValueError(
-                    f"coefficient of y^{e} doubled is not integral: {doubled}"
-                )
-            if c.numerator % 2:
-                bits[nm] = 1
-        if doubled.constant.denominator != 1:
+        coeffs = [doubled.coeff(nm) for nm in names] + [doubled.constant]
+        if any(c.denominator != 1 for c in coeffs):
             raise ValueError(
                 f"coefficient of y^{e} doubled is not integral: {doubled}"
             )
-        const = doubled.constant.numerator % 2
-        if bits or const:
-            rows.append((bits, const))
-    # eliminate the b_i over GF(2)
-    for b in sorted(b_names, key=_name_key):
-        pivot = next((i for i, (bits, _) in enumerate(rows) if b in bits), None)
-        if pivot is None:
-            continue
-        pbits, pconst = rows[pivot]
-        reduced = []
-        for i, (bits, const) in enumerate(rows):
-            if i == pivot:
-                continue
-            if b in bits:
-                merged = dict(bits)
-                for nm in pbits:
-                    if nm in merged:
-                        del merged[nm]
-                    else:
-                        merged[nm] = 1
-                const ^= pconst
-                bits = merged
-            if bits or const:
-                reduced.append((bits, const))
-        rows = reduced
+        rows.append(sum((c.numerator & 1) << i for i, c in enumerate(coeffs)))
+    work, pivots = eliminate(rows, range(len(names) + 1))
     out = []
-    seen = set()
-    for bits, const in rows:
-        if not bits:
-            if const:
-                raise InconsistentConstraints(
-                    "integrality forces 1 == 0 (mod 2)"
-                )
-            continue
-        key = (tuple(sorted(bits)), const)
-        if key in seen:
-            continue
-        seen.add(key)
-        form = LinearForm.make(const, {nm: 1 for nm in bits})
-        out.append((form, 2))
+    for row, col in zip(work, pivots):
+        if col == len(names):
+            raise InconsistentConstraints("integrality forces 1 == 0 (mod 2)")
+        if col >= len(b_names):
+            terms = {nm: 1 for i, nm in enumerate(names) if row >> i & 1}
+            out.append((LinearForm.make(row >> len(names), terms), 2))
     return CongruenceSystem(relations=tuple(out))
 
 
@@ -763,8 +723,8 @@ def feasible_range(
 
 def _form_json(f: LinearForm) -> dict:
     return {
-        "const": _fmt(f.constant),
-        "terms": {nm: _fmt(c) for nm, c in f.terms},
+        "const": str(f.constant),
+        "terms": {nm: str(c) for nm, c in f.terms},
     }
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sdcodes.gf2core import BitVector, LinearCode
+from sdcodes.gf2core import BitVector, LinearCode, _kernel_rows
 
 
 def pairs_code(n: int) -> LinearCode:
@@ -21,13 +21,10 @@ def e8_code() -> LinearCode:
 
 def _neighbor_step(code: LinearCode, x: BitVector) -> LinearCode:
     """<(C intersect x-perp), x> for even-weight x; equals C when x in C."""
-    ortho = [r for r in code.generators.rows if r.dot(x) == 0]
-    rest = [r for r in code.generators.rows if r.dot(x) == 1]
-    if not rest:
+    rows, anchor = _kernel_rows(code, x.dot)
+    if anchor is None:
         return code
-    anchor = rest[0]
-    rows = ortho + [anchor ^ r for r in rest[1:]] + [x]
-    return LinearCode.from_rows(code.length, rows)
+    return LinearCode.from_rows(code.length, rows + [x])
 
 
 def random_self_dual(n: int, rng: random.Random, steps: int | None = None) -> LinearCode:
