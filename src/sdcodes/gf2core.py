@@ -385,17 +385,14 @@ def parity_class(code: LinearCode) -> ParityClass:
 
 def _kernel_rows(
     code: LinearCode, f: Callable[[BitVector], int]
-) -> tuple[list[BitVector], BitVector | None]:
+) -> tuple[list[BitVector], BitVector]:
     """Rows spanning {c in C : f(c) = 0} for a functional f linear on C.
 
-    Returns the rows and the anchor: the first generator with f = 1, which
-    is XORed onto every other such generator.  When f vanishes on C the
-    anchor is None and the rows are C's generators.
+    f must not vanish on C.  Returns the rows and the anchor: the first
+    generator with f = 1, which is XORed onto every other such generator.
     """
     ortho = [r for r in code.generators.rows if not f(r)]
     rest = [r for r in code.generators.rows if f(r)]
-    if not rest:
-        return ortho, None
     anchor = rest[0]
     return ortho + [anchor ^ r for r in rest[1:]], anchor
 

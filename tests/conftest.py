@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sdcodes.gf2core import BitVector, LinearCode, _kernel_rows
+from sdcodes.gf2core import BitVector, LinearCode
 
 
 def pairs_code(n: int) -> LinearCode:
@@ -21,10 +21,13 @@ def e8_code() -> LinearCode:
 
 def _neighbor_step(code: LinearCode, x: BitVector) -> LinearCode:
     """<(C intersect x-perp), x> for even-weight x; equals C when x in C."""
-    rows, anchor = _kernel_rows(code, x.dot)
-    if anchor is None:
+    ortho = [r for r in code.generators.rows if r.dot(x) == 0]
+    rest = [r for r in code.generators.rows if r.dot(x) == 1]
+    if not rest:
         return code
-    return LinearCode.from_rows(code.length, rows + [x])
+    anchor = rest[0]
+    rows = ortho + [anchor ^ r for r in rest[1:]] + [x]
+    return LinearCode.from_rows(code.length, rows)
 
 
 def random_self_dual(n: int, rng: random.Random, steps: int | None = None) -> LinearCode:
