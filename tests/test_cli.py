@@ -1,6 +1,7 @@
 """Command-line behavior: output, exit codes, JSON reports, error paths."""
 
 import json
+import re
 
 import pytest
 
@@ -169,6 +170,24 @@ class TestWefPossible:
     def test_odd_n_exits_2(self, capsys):
         rc, _, err = run(["wef", "possible", "--n", "21", "--dmin", "4"], capsys)
         assert rc == 2
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_congruences_name_only_family_parameters(self, k, extra, capsys):
+        n, dmin = 24 * k + 10, 4 * k + 2 + extra
+        for case in ("wt1", "min5", "min9", "ge5"):
+            argv = [
+                "wef", "possible", "--n", str(n), "--dmin", str(dmin),
+                "--shadow-case", case, "--json",
+            ]
+            rc, out, _ = run(argv, capsys)
+            if rc != 0:
+                continue  # no such case at this length
+            results = json.loads(out)["results"]
+            params = set(results.get("family", {}).get("params", []))
+            for cong in results.get("congruences", []):
+                named = set(re.findall(r"[A-Za-z]+\d*", cong.split("==")[0]))
+                assert named <= params, f"{argv}: {cong} outside {sorted(params)}"
 
     def test_deterministic_json(self, capsys):
         argv = [

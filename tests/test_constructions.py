@@ -2,6 +2,8 @@
 
 import pytest
 
+from sdcodes import reference as ref
+
 from sdcodes.constructions import (
     B80_FIRST_ROW,
     CirculantSpec,
@@ -26,6 +28,7 @@ from sdcodes.gf2core import (
     shadow,
 )
 from sdcodes.minweight import brute_force_coset_wef, brute_force_wef
+from sdcodes.wefsym import family_for
 from conftest import e8_code, pairs_code, random_self_dual, _neighbor_step
 
 
@@ -180,6 +183,20 @@ class TestParameterInversion:
         for alpha, beta in ((18, -750), (0, -640), (2, -658), (0, -656)):
             a14, a16 = neighbor_counts(alpha, beta)
             assert neighbor_parameters(a14, a16) == (alpha, beta)
+
+    def test_counts_agree_with_the_shadow_families(self):
+        # a second derivation of (A_14, A_16): the symbolic n = 82 family
+        # of each row's shadow case, evaluated at the recorded (alpha, beta)
+        families = {case: family_for(82, 14, case) for case in ("min5", "min9")}
+        for fam in families.values():
+            wc = fam.wc
+            assert wc.coeff(14).constant == ref.NEIGHBOR_A14_BASE
+            assert wc.coeff(16).constant == ref.NEIGHBOR_A16_BASE
+        for spec in table1():
+            wc = families[spec.shadow_case].wc
+            point = {"alpha": spec.alpha, "beta": spec.beta}
+            got = (wc.coeff(14).evaluate(point), wc.coeff(16).evaluate(point))
+            assert got == neighbor_counts(spec.alpha, spec.beta), spec.index
 
     def test_rejects_off_lattice(self):
         with pytest.raises(ValueError, match="A_14"):

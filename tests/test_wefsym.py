@@ -204,7 +204,7 @@ class TestParity:
         assert str(sys) == f"{ref.PARITY_PARAM[k]} == 0 (mod 2)"
 
     @pytest.mark.parametrize("k", sorted(ref.PARITY_PARAM))
-    @pytest.mark.parametrize("max_exponent", [0, 8, 12, 16, 20, 56])
+    @pytest.mark.parametrize("max_exponent", [0, 8, 12, 16, 20, 56, 200])
     def test_max_exponent(self, k, max_exponent):
         # the first W(1) coefficient forcing a congruence is y^(4k+1)
         if max_exponent <= 4 * k:
