@@ -46,6 +46,7 @@ from .minweight import (
     min_weight,
 )
 from .wefsym import (
+    FAMILY_LENGTHS,
     Family,
     InconsistentConstraints,
     InfeasibleCase,
@@ -53,7 +54,7 @@ from .wefsym import (
     SHADOW_CASES,
     c1_basis,
     derive_parity,
-    display_cutoffs,
+    family_congruences,
     family_for,
     family_to_json,
     feasible_range,
@@ -129,11 +130,8 @@ def _record_weight(report: Report, label: str, value) -> None:
     """Stores an exact weight or a (lo, hi) bound pair under one label."""
     if isinstance(value, tuple):
         lo, hi = value
-        finite = hi != float("inf")
-        report.results[label] = {"lower": lo, "upper": hi if finite else None}
-        report.say(
-            f"{label}: between {lo} and {hi if finite else '?'} (budget exhausted)"
-        )
+        report.results[label] = {"lower": lo, "upper": hi}
+        report.say(f"{label}: between {lo} and {hi} (budget exhausted)")
     else:
         report.results[label] = value
         report.say(f"{label}: {value}")
@@ -254,30 +252,13 @@ def cmd_code_shadow(args) -> int:
 
 
 def _congruences_for(family: Family) -> list[str]:
-    n = family.n
-    if n not in ref.FAMILY_DMIN or not family.params:
-        return []
-    k = (n - 10) // 24
-    renames = {}
-    if n == 82 and family.case in ("min5", "min9"):
-        renames = {"b": LinearForm.var("alpha"), "c": LinearForm.var("beta")}
-    out = []
-    for form, modulus in derive_parity(k).relations:
-        out.append(f"{form.substitute(renames)} == 0 (mod {modulus})")
-    return out
+    return family_congruences(family).lines()
 
 
-def _render_family(report: Report, family: Family, max_exponent: int | None):
-    wc_cut, ws_cut = display_cutoffs(family.n)
-    if max_exponent is not None:
-        wc_cut = ws_cut = max_exponent
-    shown = Family(
-        n=family.n,
-        case=family.case,
-        d=family.d,
-        wc=family.wc.truncate(wc_cut) if wc_cut is not None else family.wc,
-        ws=family.ws.truncate(ws_cut) if ws_cut is not None else family.ws,
-    )
+def _render_family(
+    report: Report, family: Family, congs: list[str], max_exponent: int | None
+):
+    shown = family.displayed(max_exponent)
     doc = family_to_json(shown)
     report.results["family"] = doc
     report.say(
@@ -294,7 +275,6 @@ def _render_family(report: Report, family: Family, max_exponent: int | None):
         report.say("nonnegativity constraints:")
         for c in cons:
             report.say(f"  {c}")
-    congs = _congruences_for(family)
     report.results["congruences"] = congs
     if congs:
         report.say("integrality congruences:")
@@ -312,28 +292,26 @@ def cmd_wef_possible(args) -> int:
         raise SystemExit("error: n must be a positive even integer")
     if dmin % 2 or dmin <= 0:
         raise SystemExit("error: dmin must be a positive even integer")
-    if n in ref.FAMILY_DMIN:
-        try:
-            family = family_for(n, dmin, args.shadow_case)
-        except (InfeasibleCase, InconsistentConstraints) as exc:
-            report.results["infeasible"] = str(exc)
-            report.say(f"no such enumerator family: {exc}")
-            return report.emit(args.json)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-        _render_family(report, family, args.max_exponent)
-        return report.emit(args.json)
-    if args.shadow_case != "min5":
-        # shadow cases are only tabulated for the supported lengths
+    tabulated = n in FAMILY_LENGTHS
+    if not tabulated and args.shadow_case != "min5":
         raise SystemExit(
             f"error: no shadow cases tabulated for n={n}; "
             "omit --shadow-case to see the generic expansion"
         )
     try:
-        g = gleason_expand(n, {0: 1} | {w: 0 for w in range(2, dmin, 2)})
-    except InconsistentConstraints as exc:
+        if tabulated:
+            family = family_for(n, dmin, args.shadow_case)
+            congs = _congruences_for(family)
+        else:
+            g = gleason_expand(n, {0: 1} | {w: 0 for w in range(2, dmin, 2)})
+    except (InfeasibleCase, InconsistentConstraints) as exc:
         report.results["infeasible"] = str(exc)
         report.say(f"no such enumerator family: {exc}")
+        return report.emit(args.json)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    if tabulated:
+        _render_family(report, family, congs, args.max_exponent)
         return report.emit(args.json)
     cut = args.max_exponent if args.max_exponent is not None else dmin + 16
     wc = g.to_enumerator()
@@ -344,11 +322,10 @@ def cmd_wef_possible(args) -> int:
         + (", ".join(g.free_params) or "(none)")
     )
     for label, poly in (("W_C", wc), ("W_S", ws)):
-        report.results[label] = [
-            {"deg": e, "form": str(f)} for e, f in poly.truncate(cut).coefficients
-        ]
+        terms = poly.truncate(cut).coefficients
+        report.results[label] = [{"deg": e, "form": str(f)} for e, f in terms]
         report.say(f"{label} (to y^{cut}):")
-        for e, form in poly.truncate(cut).coefficients:
+        for e, form in terms:
             report.say(f"  y^{e}: {form}")
     return report.emit(args.json)
 
@@ -550,12 +527,9 @@ def cmd_reproduce_families(args) -> int:
     for k in sorted(ref.W1_DISPLAY):
         _diff_prefix(report, f"half-coset family k={k}", w1_family(k), ref.W1_DISPLAY[k])
     for k, name in sorted(ref.PARITY_PARAM.items()):
-        rels = derive_parity(k).relations
         report.check(
             f"parity congruence k={k}",
-            len(rels) == 1
-            and rels[0][1] == 2
-            and rels[0][0] == LinearForm.var(name),
+            derive_parity(k).relations == ((LinearForm.var(name), 2),),
             f"{name} even",
         )
     fam = family_for(82, 14, ref.DGH_CASE)

@@ -226,11 +226,17 @@ def reduce_by(vector: BitVector, basis: BitMatrix, pivots: Sequence[int]) -> Bit
     the row space: two vectors reduce to the same value exactly when they
     differ by a row-space element.
     """
-    bits = vector.bits
-    for row, col in zip(basis.rows, pivots):
+    rows = (row.bits for row in basis.rows)
+    return BitVector(vector.length, reduce_bits(vector.bits, rows, pivots))
+
+
+def reduce_bits(bits: int, rows: Iterable[int], pivots: Iterable[int]) -> int:
+    """``reduce_by`` on packed ints: clears each pivot column of ``bits``
+    with the row that holds it."""
+    for row, col in zip(rows, pivots):
         if bits >> col & 1:
-            bits ^= row.bits
-    return BitVector(vector.length, bits)
+            bits ^= row
+    return bits
 
 
 class ParityClass(Enum):

@@ -16,8 +16,8 @@ residue shift for cosets), which typically saves one or two enumeration
 levels.
 
 Cosets x + C are enumerated through per-set affine bases: x is reduced
-against each information set so that the reduced base vanishes on that
-set's columns.  The same lower-bound formula and deduplication rule then
+against each information set by ``gf2core.reduce_bits`` so that the reduced
+base vanishes on that set's columns.  The same lower-bound formula and deduplication rule then
 apply verbatim to the coset elements themselves.
 
 Enumeration is vectorized with numpy on bit-packed uint64 words.  Level r
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .gf2core import BitVector, LinearCode, eliminate
+from .gf2core import BitVector, LinearCode, eliminate, reduce_bits
 
 _CHUNK = 1 << 20
 # cap on a materialized level's row count (C(41, 6) = 4.5M fits, C(41, 7) not)
@@ -200,11 +200,7 @@ class _Engine:
         off = offset.bits if offset is not None else 0
         self.sets = _build_info_sets(gen_rows, self.n)
         for s in self.sets:
-            base = off
-            for row, col in zip(s.rows_int, s.pivots):
-                if base >> col & 1:
-                    base ^= row
-            s.base_np = _pack(base, self.words)
+            s.base_np = _pack(reduce_bits(off, s.rows_int, s.pivots), self.words)
             s.rows_np = np.array(
                 [_pack(r, self.words) for r in s.rows_int], dtype=np.uint64
             )

@@ -12,9 +12,10 @@ no floating point in this module.  The pipeline is:
   3. ``apply_shadow_case`` pins the a_j forced by a shadow minimum-weight
      assumption and renames the surviving parameters to conventional
      letters, yielding the parameterized families for n = 58, 82, 106, 130.
-  4. ``c1_basis`` / ``w1_family`` / ``derive_parity`` express the
-     enumerator of one shadow half-coset and extract the parity
-     restrictions (gamma, c, d, e even) its integrality forces.
+  4. ``c1_basis`` / ``w1_family`` / ``family_congruences`` express the
+     enumerator of one shadow half-coset of a family and extract the
+     congruences its integrality forces; ``derive_parity`` applies this to
+     the tabulated d = 4k + 2 families (gamma, c, d, e even).
 
 Polynomials are sparse maps exponent -> coefficient: plain dicts of
 rationals internally, and ParamPoly, whose coefficients are affine-linear
@@ -24,7 +25,8 @@ forms in named parameters, for every family the module returns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -192,10 +194,6 @@ def _ppow(a: dict, exp: int) -> dict:
     return out
 
 
-def _pscale(a: dict, s: Fraction) -> dict:
-    return {e: c * s for e, c in a.items()} if s else {}
-
-
 @dataclass(frozen=True)
 class ParamPoly:
     """A polynomial whose coefficients are LinearForm values.
@@ -220,10 +218,6 @@ class ParamPoly:
         return _ZERO
 
     @property
-    def degree(self) -> int:
-        return self.coefficients[-1][0] if self.coefficients else -1
-
-    @property
     def params(self) -> tuple[str, ...]:
         names = {n for _, f in self.coefficients for n in f.names}
         return tuple(sorted(names, key=_name_key))
@@ -236,7 +230,10 @@ class ParamPoly:
             {e: f.substitute(mapping) for e, f in self.coefficients}
         )
 
-    def truncate(self, max_exponent: int) -> "ParamPoly":
+    def truncate(self, max_exponent: int | None) -> "ParamPoly":
+        """The terms up to y^max_exponent; None keeps every term."""
+        if max_exponent is None:
+            return self
         return ParamPoly(
             tuple((e, f) for e, f in self.coefficients if e <= max_exponent)
         )
@@ -285,24 +282,26 @@ def _param_sum(pairs: Iterable[tuple[LinearForm, dict]]) -> dict[int, LinearForm
 # -- Gleason expansion and the shadow transform -----------------------------
 
 
-def _gleason_basis(n: int) -> list[dict]:
+@cache
+def _gleason_basis(n: int) -> tuple[dict, ...]:
     one_y2 = {0: Fraction(1), 2: Fraction(1)}
     # y^2 (1-y^2)^2 = y^2 - 2y^4 + y^6
     g2 = {2: Fraction(1), 4: Fraction(-2), 6: Fraction(1)}
-    out = []
-    for j in range(n // 8 + 1):
-        out.append(_pmul(_ppow(one_y2, n // 2 - 4 * j), _ppow(g2, j)))
-    return out
+    return tuple(
+        _pmul(_ppow(one_y2, n // 2 - 4 * j), _ppow(g2, j))
+        for j in range(n // 8 + 1)
+    )
 
 
-def _shadow_basis(n: int) -> list[dict]:
+@cache
+def _shadow_basis(n: int) -> tuple[dict, ...]:
     one_m_y4_sq = {0: Fraction(1), 4: Fraction(-1)}
     out = []
     for j in range(n // 8 + 1):
         scale = Fraction(-1) ** j * Fraction(2) ** (n // 2 - 6 * j)
-        poly = _pscale(_ppow(one_m_y4_sq, 2 * j), scale)
-        out.append({e + n // 2 - 4 * j: c for e, c in poly.items()})
-    return out
+        poly = _ppow(one_m_y4_sq, 2 * j)
+        out.append({e + n // 2 - 4 * j: c * scale for e, c in poly.items()})
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -417,6 +416,11 @@ class Family:
         names = set(self.wc.params) | set(self.ws.params)
         return tuple(sorted(names, key=_name_key))
 
+    def displayed(self, max_exponent: int | None = None) -> "Family":
+        """The family cut at ``display_cutoffs(n, max_exponent)``."""
+        wc_cut, ws_cut = display_cutoffs(self.n, max_exponent)
+        return replace(self, wc=self.wc.truncate(wc_cut), ws=self.ws.truncate(ws_cut))
+
 
 # constraints: ("B", w, value) pins a shadow coefficient;
 # ("ABmatch",) equates A_d with B_(d-1) at the inferred minimum weight d.
@@ -470,10 +474,24 @@ _CASES[(106, "ge5")] = _CASES[(106, "min5")]
 _CASES[(130, "ge5")] = _CASES[(130, "min5")]
 
 SHADOW_CASES = ("wt1", "min5", "min9", "ge5")
+# the tabulated lengths n = 24k + 10, k = 2..5
+FAMILY_LENGTHS = tuple(sorted({n for n, _ in _CASES}))
+
+# degrees (W_C, W_S) of the displayed family prefixes
+_CUTOFFS = {58: (12, 17), 82: (18, 21), 106: (24, 17), 130: (30, 21)}
 
 
-def _supported_cases() -> str:
-    return ", ".join(f"n={n}:{c}" for n, c in sorted(_CASES))
+def display_cutoffs(
+    n: int, max_exponent: int | None = None
+) -> tuple[int | None, int | None]:
+    """Truncation degrees (W_C, W_S) of a displayed family of length n.
+
+    ``max_exponent`` overrides both; otherwise the degrees of the recorded
+    display prefixes, or None (untruncated) for a length without one.
+    """
+    if max_exponent is not None:
+        return max_exponent, max_exponent
+    return _CUTOFFS.get(n, (None, None))
 
 
 def apply_shadow_case(g: GleasonCoeffs, case: str) -> Family:
@@ -499,7 +517,7 @@ def apply_shadow_case(g: GleasonCoeffs, case: str) -> Family:
     if key not in _CASES:
         raise ValueError(
             f"unsupported shadow case {case!r} for n={g.n}; "
-            f"supported: {_supported_cases()}"
+            "supported: " + ", ".join(f"n={n}:{c}" for n, c in sorted(_CASES))
         )
     constraints, renames = _CASES[key]
     a_names = [f"a{j}" for j in range(len(g.a))]
@@ -510,7 +528,6 @@ def apply_shadow_case(g: GleasonCoeffs, case: str) -> Family:
     def current(table: dict[int, LinearForm], w: int) -> LinearForm:
         return table.get(w, _ZERO).substitute(mapping)
 
-    d = _min_weight_of(sym_wc, mapping)
     for con in constraints:
         if con[0] == "B":
             _, w, value = con
@@ -535,15 +552,13 @@ def apply_shadow_case(g: GleasonCoeffs, case: str) -> Family:
             _pin(mapping, form, a_names, f"naming B_{w} = {name}")
     wc = ParamPoly.from_dict(sym_wc).substitute(mapping)
     ws = ParamPoly.from_dict(sym_ws).substitute(mapping)
-    leftover = [nm for nm in wc.params if nm in a_names] + [
-        nm for nm in ws.params if nm in a_names
-    ]
+    leftover = sorted({*wc.params, *ws.params} & set(a_names), key=_name_key)
     if leftover:
         # the constraint-and-rename table matches the tabulated minimum
         # weight; a smaller dmin leaves extra coefficients unnamed
-        names = ", ".join(sorted(set(leftover), key=_name_key))
         raise ValueError(
-            f"case {case!r} for n={g.n} leaves free coefficients {names}; "
+            f"case {case!r} for n={g.n} leaves free coefficients "
+            f"{', '.join(leftover)}; "
             "supply enough vanishing low-weight terms first"
         )
     for poly in (wc, ws):
@@ -599,22 +614,29 @@ def c1_basis(k: int) -> ParamPoly:
     return ParamPoly.from_dict(acc)
 
 
-_FAMILY_FOR_K = {2: (58, "min5"), 3: (82, "ge5"), 4: (106, "min5"), 5: (130, "min5")}
+def _parity_family(k: int) -> Family:
+    """The d(S) >= 5 family of length 24k + 10 at d = 4k + 2."""
+    if not 2 <= k <= 5:
+        raise ValueError("k must be between 2 and 5")
+    return family_for(24 * k + 10, 4 * k + 2, "ge5")
+
+
+def _w1(family: Family) -> ParamPoly:
+    """W(1) = (W_S + (W(1) - W(3))) / 2 for a family of length 24k + 10.
+
+    W(1) is the half-coset holding no weight-1 vector, so the y^1
+    coefficient (B_1 + b_0) / 2 vanishes: the difference is c1_basis with
+    b_0 = -B_1, which is b_0 = 0 unless the shadow has minimum weight 1.
+    """
+    b0 = family.ws.coeff(1) * -1
+    diff = c1_basis((family.n - 10) // 24).substitute({"b0": b0})
+    return (family.ws + diff).scale(Fraction(1, 2))
 
 
 def w1_family(k: int) -> ParamPoly:
-    """Enumerator of the shadow half-coset containing no weight-1 vector.
-
-    W(1) = (W_S + (W(1) - W(3))) / 2 where W_S is the d(S) >= 5 family of
-    length 24k + 10 and the difference comes from c1_basis with b_0 = 0
-    (the shadow contains no vector of weight 1).
-    """
-    if not 2 <= k <= 5:
-        raise ValueError("k must be between 2 and 5")
-    n, case = _FAMILY_FOR_K[k]
-    fam = family_for(n, 4 * k + 2, case)
-    diff = c1_basis(k).substitute({"b0": 0})
-    return (fam.ws + diff).scale(Fraction(1, 2))
+    """Enumerator of the shadow half-coset containing no weight-1 vector,
+    for the d(S) >= 5 family of length 24k + 10 at d = 4k + 2."""
+    return _w1(_parity_family(k))
 
 
 @dataclass(frozen=True)
@@ -623,53 +645,49 @@ class CongruenceSystem:
 
     relations: tuple[tuple[LinearForm, int], ...]
 
+    def lines(self) -> list[str]:
+        return [f"{f} == 0 (mod {m})" for f, m in self.relations]
+
     def __str__(self) -> str:
-        if not self.relations:
-            return "(no congruences)"
-        return "; ".join(f"{f} == 0 (mod {m})" for f, m in self.relations)
+        return "; ".join(self.lines()) or "(no congruences)"
 
 
-# truncation degrees matching the displayed family prefixes
-_W1_CUTOFF = {2: 17, 3: 17, 4: 17, 5: 21}
-_WC_CUTOFF = {58: 12, 82: 18, 106: 24, 130: 30}
-_WS_CUTOFF = {58: 17, 82: 21, 106: 17, 130: 21}
-
-
-def display_cutoffs(n: int) -> tuple[int | None, int | None]:
-    """Truncation degrees (W_C, W_S) of the displayed family prefixes."""
-    return _WC_CUTOFF.get(n), _WS_CUTOFF.get(n)
-
-
-def derive_parity(k: int, max_exponent: int | None = None) -> CongruenceSystem:
-    """Parity restrictions forced by integrality of the W(1) coefficients.
+def family_congruences(
+    family: Family, max_exponent: int | None = None
+) -> CongruenceSystem:
+    """Congruences on the family's parameters forced by integrality of W(1).
 
     Every coefficient of W(1) must be a nonnegative integer.  Doubling a
-    coefficient form clears the only possible denominator, 2; reducing
-    the doubled forms mod 2 gives a GF(2) system in the parameters, and
-    eliminating the auxiliary b_i leaves the congruences on the shadow
-    parameters.  Coefficients are taken up to ``max_exponent`` (default:
-    the degree of the displayed prefix for this k).
+    coefficient form clears the denominator 2 of its parameter terms;
+    reducing the doubled forms mod 2 gives a GF(2) system in the
+    parameters, and eliminating the auxiliary b_i leaves the congruences
+    on the family's own parameters.  Coefficients are taken up to
+    ``max_exponent`` (default: all of W(1)).
 
-    For k = 2, 3, 4, 5 the result is gamma, c, d, e even, respectively.
+    Raises:
+        InconsistentConstraints: no integer parameter values make W(1)
+            integral: a doubled coefficient has a fractional constant, or
+            the system forces 1 == 0 (mod 2).
+        ValueError: a doubled coefficient has a fractional parameter term.
     """
-    if not 2 <= k <= 5:
-        raise ValueError("k must be between 2 and 5")
-    cutoff = max_exponent if max_exponent is not None else _W1_CUTOFF[k]
-    w1 = w1_family(k)
+    w1 = _w1(family).truncate(max_exponent)
     # GF(2) columns: the b_i first, then the shadow parameters, then the
     # constant, so that rows pivoting past the b_i are free of them
-    b_names = [f"b{i}" for i in range(1, k)]
-    names = b_names + [nm for nm in w1.params if nm not in b_names]
+    b_names = [nm for nm in w1.params if nm not in family.params]
+    names = b_names + list(family.params)
     rows = []
     for e, form in w1.coefficients:
-        if e > cutoff:
-            continue
         doubled = form * 2
-        coeffs = [doubled.coeff(nm) for nm in names] + [doubled.constant]
+        coeffs = [doubled.coeff(nm) for nm in names]
         if any(c.denominator != 1 for c in coeffs):
             raise ValueError(
                 f"coefficient of y^{e} doubled is not integral: {doubled}"
             )
+        if doubled.constant.denominator != 1:
+            raise InconsistentConstraints(
+                f"W(1) coefficient of y^{e} is {form}, never an integer"
+            )
+        coeffs.append(doubled.constant)
         rows.append(sum((c.numerator & 1) << i for i, c in enumerate(coeffs)))
     work, pivots = eliminate(rows, range(len(names) + 1))
     out = []
@@ -680,6 +698,15 @@ def derive_parity(k: int, max_exponent: int | None = None) -> CongruenceSystem:
             terms = {nm: 1 for i, nm in enumerate(names) if row >> i & 1}
             out.append((LinearForm.make(row >> len(names), terms), 2))
     return CongruenceSystem(relations=tuple(out))
+
+
+def derive_parity(k: int, max_exponent: int | None = None) -> CongruenceSystem:
+    """``family_congruences`` of the d(S) >= 5 family of length 24k + 10
+    at d = 4k + 2, up to ``max_exponent`` (default: all of W(1)).
+
+    For k = 2, 3, 4, 5 the result is gamma, c, d, e even, respectively.
+    """
+    return family_congruences(_parity_family(k), max_exponent)
 
 
 # -- feasibility and export -------------------------------------------------
@@ -700,25 +727,20 @@ class Constraint:
 def feasible_range(
     family: Family, max_exponent: int | None = None
 ) -> list[Constraint]:
-    """Nonnegativity constraints on the family's listed coefficients.
+    """Nonnegativity constraints on the family's displayed coefficients.
 
     Only coefficients actually involving parameters become constraints;
     fully determined coefficients were already checked when the family
-    was built.  The default truncation is the displayed prefix degree
-    for the family's length.
+    was built.  The coefficients are those of
+    ``family.displayed(max_exponent)``.
     """
-    out = []
-    for source, poly, cutoff in (
-        ("W_C", family.wc, _WC_CUTOFF.get(family.n)),
-        ("W_S", family.ws, _WS_CUTOFF.get(family.n)),
-    ):
-        limit = max_exponent if max_exponent is not None else cutoff
-        if limit is None:
-            limit = poly.degree
-        for e, form in poly.coefficients:
-            if e <= limit and not form.is_constant:
-                out.append(Constraint(source=source, exponent=e, form=form))
-    return out
+    shown = family.displayed(max_exponent)
+    return [
+        Constraint(source=source, exponent=e, form=form)
+        for source, poly in (("W_C", shown.wc), ("W_S", shown.ws))
+        for e, form in poly.coefficients
+        if not form.is_constant
+    ]
 
 
 def _form_json(f: LinearForm) -> dict:
@@ -734,8 +756,7 @@ def family_to_json(family: Family, max_exponent: int | None = None) -> dict:
     def poly_json(poly: ParamPoly) -> list[dict]:
         return [
             {"deg": e, **_form_json(f)}
-            for e, f in poly.coefficients
-            if max_exponent is None or e <= max_exponent
+            for e, f in poly.truncate(max_exponent).coefficients
         ]
 
     return {

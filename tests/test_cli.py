@@ -153,6 +153,14 @@ class TestWefPossible:
         assert rc == 0
         assert "no such enumerator family" in out
 
+    def test_integrality_failure_is_a_result(self, capsys):
+        rc, out, _ = run(
+            ["wef", "possible", "--n", "82", "--dmin", "18", "--shadow-case", "ge5"],
+            capsys,
+        )
+        assert rc == 0
+        assert "no such enumerator family: W(1) coefficient of y^9" in out
+
     def test_generic_expansion(self, capsys):
         rc, out, _ = run(["wef", "possible", "--n", "20", "--dmin", "4"], capsys)
         assert rc == 0

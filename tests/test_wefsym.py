@@ -15,6 +15,8 @@ from sdcodes.wefsym import (
     apply_shadow_case,
     c1_basis,
     derive_parity,
+    display_cutoffs,
+    family_congruences,
     family_for,
     family_to_json,
     feasible_range,
@@ -212,6 +214,21 @@ class TestParity:
         else:
             assert derive_parity(k, max_exponent) == derive_parity(k)
 
+    @pytest.mark.parametrize(
+        "case, want", [("min5", "beta"), ("min9", "beta"), ("ge5", "c")]
+    )
+    def test_named_by_the_family(self, case, want):
+        sys = family_congruences(family_for(82, 14, case))
+        assert sys.relations == ((LinearForm.var(want), 2),)
+
+    def test_weight_one_shadow_has_no_congruences(self):
+        # W(1) is the half-coset without the weight-1 vector: b_0 = -B_1
+        assert family_congruences(family_for(82, 14, "wt1")).relations == ()
+
+    def test_fractional_constant_is_inconsistent(self):
+        with pytest.raises(InconsistentConstraints, match="never an integer"):
+            family_congruences(family_for(82, 18, "ge5"))
+
     def test_range_checks(self):
         with pytest.raises(ValueError):
             derive_parity(1)
@@ -248,6 +265,14 @@ class TestFeasibleRange:
         cons = feasible_range(family_for(82, 14, "min5"))
         assert all(c.exponent <= 18 for c in cons if c.source == "W_C")
         assert all(c.exponent <= 21 for c in cons if c.source == "W_S")
+
+    def test_one_override_rule(self):
+        assert display_cutoffs(82) == (18, 21)
+        assert display_cutoffs(82, 9) == (9, 9)
+        assert display_cutoffs(20) == (None, None)
+        fam = family_for(82, 14, "min5")
+        assert fam.displayed().wc == fam.wc.truncate(18)
+        assert fam.displayed(40).ws == fam.ws.truncate(40)
 
     def test_explicit_truncation(self):
         # the pinned constant B_5 = 1 never becomes a constraint
