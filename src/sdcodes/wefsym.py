@@ -634,8 +634,7 @@ def _w1(family: Family) -> ParamPoly:
 
 
 def w1_family(k: int) -> ParamPoly:
-    """Enumerator of the shadow half-coset containing no weight-1 vector,
-    for the d(S) >= 5 family of length 24k + 10 at d = 4k + 2."""
+    """W(1) of the d(S) >= 5 family of length 24k + 10 at d = 4k + 2."""
     return _w1(_parity_family(k))
 
 
@@ -701,10 +700,10 @@ def family_congruences(
 
 
 def derive_parity(k: int, max_exponent: int | None = None) -> CongruenceSystem:
-    """``family_congruences`` of the d(S) >= 5 family of length 24k + 10
-    at d = 4k + 2, up to ``max_exponent`` (default: all of W(1)).
+    """``family_congruences`` of the family behind ``w1_family(k)``.
 
-    For k = 2, 3, 4, 5 the result is gamma, c, d, e even, respectively.
+    Coefficients up to ``max_exponent`` (default: all of W(1)).  For
+    k = 2, 3, 4, 5 the result is gamma, c, d, e even, respectively.
     """
     return family_congruences(_parity_family(k), max_exponent)
 
