@@ -111,7 +111,15 @@ def _pack(bits: int, words: int) -> np.ndarray:
 
 
 def _weights_of(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr).sum(axis=1, dtype=np.int64)
+    """Row weights of packed rows, one column popcount at a time.
+
+    Summing per column avoids the rows x words uint8 temporary that
+    ``np.bitwise_count(arr).sum(axis=1)`` would build before reducing it.
+    """
+    wts = np.zeros(arr.shape[0], dtype=np.int64)
+    for j in range(arr.shape[1]):
+        wts += np.bitwise_count(arr[:, j])
+    return wts
 
 
 # -- information sets -------------------------------------------------------
@@ -280,15 +288,22 @@ class _Engine:
 
         return descriptors()
 
+    def _source(self, si: int, chunk: tuple) -> tuple[np.ndarray, np.ndarray | None]:
+        """(src, suffix): the chunk's rows are src XOR suffix.
+
+        ``src`` is a view of the materialized level; ``suffix`` is the XOR
+        of the suffix tuple's rows, or None when the tuple is empty.
+        """
+        b, tup, lo, hi = chunk
+        src = self._mat[si][b][lo:hi]
+        if not tup:
+            return src, None
+        return src, np.bitwise_xor.reduce(self.sets[si].rows_np[list(tup)], axis=0)
+
     def _rows(self, si: int, chunk: tuple) -> np.ndarray:
         """The rows (offset folded in) that a chunk descriptor stands for."""
-        b, tup, lo, hi = chunk
-        rows = self._mat[si][b][lo:hi]
-        if tup:
-            rows = rows ^ np.bitwise_xor.reduce(
-                self.sets[si].rows_np[list(tup)], axis=0
-            )
-        return rows
+        src, suffix = self._source(si, chunk)
+        return src if suffix is None else src ^ suffix
 
     def raw_bound(self, levels: list[int]) -> int:
         raw = sum(
@@ -361,21 +376,24 @@ class _Engine:
         whose restriction to some earlier set j's pivot columns has more
         than caps[j] ones: the rest were already tallied at set j.
         """
-        rows = self._rows(si, chunk)
-        wts = _weights_of(rows)
+        src, suffix = self._source(si, chunk)
+        # word 0's popcount is a lower bound on the weight, so most rows are
+        # rejected here before the survivors are built in full
+        word0 = src[:, 0] if suffix is None else src[:, 0] ^ suffix[0]
+        vals = src[np.flatnonzero(np.bitwise_count(word0) <= w)]
+        if suffix is not None:
+            vals ^= suffix
+        wts = _weights_of(vals)
         keep = wts <= w
-        vals = rows[keep]
+        vals = vals[keep]
         wts = wts[keep]
         for s2, cap in zip(self.sets, caps):
             if vals.shape[0] == 0:
                 break
-            inside = np.bitwise_count(vals & s2.mask_np).sum(
-                axis=1, dtype=np.int64
-            )
-            keep2 = inside > cap
+            keep2 = _weights_of(vals & s2.mask_np) > cap
             vals = vals[keep2]
             wts = wts[keep2]
-        return np.bincount(wts, minlength=w + 1), rows.shape[0]
+        return np.bincount(wts, minlength=w + 1), src.shape[0]
 
     def run_count(self, w: int, workers: int) -> tuple[dict[int, int], int]:
         """Counts elements of weight <= w; returns (counts, certified_upto).

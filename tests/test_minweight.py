@@ -5,6 +5,7 @@ Brute-force enumeration over all 2^k words is the oracle throughout.
 
 import random
 
+import numpy as np
 import pytest
 
 import sdcodes.minweight as mw
@@ -272,6 +273,43 @@ class TestDeterminism:
         serial = count_coset_upto(c, x, 11)
         parallel = count_coset_upto(c, x, 11, workers=3)
         assert serial == parallel
+
+
+class TestMultiWord:
+    """Lengths above 64 bits, where word 0 alone does not give the weight."""
+
+    @pytest.mark.parametrize("n", [70, 100, 130])
+    def test_counts_match_brute(self, rng, monkeypatch, n):
+        monkeypatch.setattr(mw, "_CHUNK", 37)
+        monkeypatch.setattr(mw, "_MAT_CAP", 12)  # forces the suffix-tuple path
+        for _ in range(3):
+            k = rng.randrange(8, 15)
+            c = LinearCode.from_rows(n, [rng.getrandbits(n) for _ in range(k)])
+            x = BitVector(n, rng.getrandbits(n))
+            brute = brute_force_wef(c)
+            brute_coset = brute_force_coset_wef(c, x)
+            weights = sorted(brute.counts)
+            for w in (weights[len(weights) // 4], weights[len(weights) // 2]):
+                got = count_words_upto(c, w)
+                assert got.complete_upto == w
+                assert got.counts == {
+                    k: v for k, v in brute.counts.items() if k <= w
+                }
+                coset = count_coset_upto(c, x, w)
+                assert coset.counts == {
+                    k: v for k, v in brute_coset.counts.items() if k <= w
+                }
+
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    def test_weights_of(self, rng, words):
+        for rows in (0, 1, 57):
+            arr = np.array(
+                [[rng.getrandbits(64) for _ in range(words)] for _ in range(rows)],
+                dtype=np.uint64,
+            ).reshape(rows, words)
+            got = mw._weights_of(arr)
+            assert got.dtype == np.int64
+            assert got.tolist() == np.bitwise_count(arr).sum(axis=1).tolist()
 
 
 class TestWeightDistribution:
