@@ -283,8 +283,8 @@ class TestMultiWord:
         monkeypatch.setattr(mw, "_CHUNK", 37)
         monkeypatch.setattr(mw, "_MAT_CAP", 12)  # forces the suffix-tuple path
         for _ in range(3):
-            k = rng.randrange(8, 15)
-            c = LinearCode.from_rows(n, [rng.getrandbits(n) for _ in range(k)])
+            dim = rng.randrange(8, 15)
+            c = LinearCode.from_rows(n, [rng.getrandbits(n) for _ in range(dim)])
             x = BitVector(n, rng.getrandbits(n))
             brute = brute_force_wef(c)
             brute_coset = brute_force_coset_wef(c, x)
