@@ -1,5 +1,6 @@
 """Command-line behavior: output, exit codes, JSON reports, error paths."""
 
+import itertools
 import json
 import re
 
@@ -183,10 +184,12 @@ class TestWefPossible:
     @pytest.mark.parametrize("extra", [0, 2])
     def test_congruences_name_only_family_parameters(self, k, extra, capsys):
         n, dmin = 24 * k + 10, 4 * k + 2 + extra
-        for case in ("wt1", "min5", "min9", "ge5"):
+        for case, cut in itertools.product(
+            ("wt1", "min5", "min9", "ge5"), ([], ["--max-exponent", "9"])
+        ):
             argv = [
                 "wef", "possible", "--n", str(n), "--dmin", str(dmin),
-                "--shadow-case", case, "--json",
+                "--shadow-case", case, "--json", *cut,
             ]
             rc, out, _ = run(argv, capsys)
             if rc != 0:
@@ -196,6 +199,22 @@ class TestWefPossible:
             for cong in results.get("congruences", []):
                 named = set(re.findall(r"[A-Za-z]+\d*", cong.split("==")[0]))
                 assert named <= params, f"{argv}: {cong} outside {sorted(params)}"
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_every_smaller_dmin_renders_a_family(self, k, capsys):
+        # below d = 4k + 2 the coefficients a_j the tabulated case leaves
+        # free stay parameters of the family
+        n = 24 * k + 10
+        cases = ("wt1", "min5", "min9", "ge5") if k == 3 else ("min5", "ge5")
+        for dmin, case in itertools.product(range(2, 4 * k + 2, 2), cases):
+            argv = [
+                "wef", "possible", "--n", str(n), "--dmin", str(dmin),
+                "--shadow-case", case, "--json",
+            ]
+            rc, out, err = run(argv, capsys)
+            assert rc == 0, f"{argv}: {err}"
+            fam = json.loads(out)["results"]["family"]
+            assert fam["n"] == n and fam["d"] >= dmin and fam["params"], argv
 
     def test_deterministic_json(self, capsys):
         argv = [
