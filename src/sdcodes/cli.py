@@ -251,16 +251,11 @@ def cmd_code_shadow(args) -> int:
 # -- enumerator families ----------------------------------------------------
 
 
-def _congruences_for(family: Family) -> list[str]:
-    return family_congruences(family).lines()
-
-
 def _render_family(
     report: Report, family: Family, congs: list[str], max_exponent: int | None
 ):
     shown = family.displayed(max_exponent)
-    doc = family_to_json(shown)
-    report.results["family"] = doc
+    report.results["family"] = family_to_json(family, max_exponent)
     report.say(
         f"family n={family.n} case={family.case} d={family.d}"
         + (f" parameters: {', '.join(family.params)}" if family.params else "")
@@ -301,7 +296,7 @@ def cmd_wef_possible(args) -> int:
     try:
         if tabulated:
             family = family_for(n, dmin, args.shadow_case)
-            congs = _congruences_for(family)
+            congs = family_congruences(family).lines()
         else:
             g = gleason_expand(n, {0: 1} | {w: 0 for w in range(2, dmin, 2)})
     except (InfeasibleCase, InconsistentConstraints) as exc:

@@ -10,8 +10,9 @@ no floating point in this module.  The pipeline is:
   2. ``shadow_transform`` rewrites the shadow enumerator in the same a_j
      via (-1)^j a_j 2^(n/2-6j) y^(n/2-4j) (1-y^4)^(2j).
   3. ``apply_shadow_case`` pins the a_j forced by a shadow minimum-weight
-     assumption and renames the surviving parameters to conventional
-     letters, yielding the parameterized families for n = 58, 82, 106, 130.
+     assumption and writes each surviving a_j as 2^max(0, 6j - n/2) times
+     a conventional letter (a{j} itself once the letters run out), yielding
+     the parameterized families for n = 58, 82, 106, 130.
   4. ``c1_basis`` / ``w1_family`` / ``family_congruences`` express the
      enumerator of one shadow half-coset of a family and extract the
      congruences its integrality forces; ``derive_parity`` applies this to
@@ -422,51 +423,18 @@ class Family:
         return replace(self, wc=self.wc.truncate(wc_cut), ws=self.ws.truncate(ws_cut))
 
 
-# constraints: ("B", w, value) pins a shadow coefficient;
-# ("ABmatch",) equates A_d with B_(d-1) at the inferred minimum weight d.
-# renames: ("aj", j, scale, name) sets a_j = scale * name;
-# ("ws", w, name) names the shadow coefficient at weight w and solves it
-# for the highest surviving a_j.
-_CASES: dict[tuple[int, str], tuple[list, list]] = {
-    (82, "wt1"): (
-        [("B", 1, 1), ("B", 5, 0), ("B", 9, 0), ("ABmatch",)],
-        [],
-    ),
-    (82, "min5"): (
-        [("B", 1, 0), ("B", 5, 1)],
-        [("aj", 8, 128, "alpha"), ("aj", 7, 2, "beta")],
-    ),
-    (82, "min9"): (
-        [("B", 1, 0), ("B", 5, 0)],
-        [("aj", 8, 128, "alpha"), ("aj", 7, 2, "beta")],
-    ),
-    (82, "ge5"): (
-        [("B", 1, 0)],
-        [("aj", 8, 128, "b"), ("aj", 7, 2, "c"), ("ws", 5, "a")],
-    ),
-    (58, "min5"): (
-        [("B", 1, 0)],
-        [("ws", 5, "beta"), ("ws", 9, "gamma")],
-    ),
-    (106, "min5"): (
-        [("B", 1, 0)],
-        [
-            ("aj", 11, 8192, "b"),
-            ("aj", 10, 128, "c"),
-            ("aj", 9, 2, "d"),
-            ("ws", 5, "a"),
-        ],
-    ),
-    (130, "min5"): (
-        [("B", 1, 0)],
-        [
-            ("aj", 14, 524288, "b"),
-            ("aj", 13, 8192, "c"),
-            ("aj", 12, 128, "d"),
-            ("aj", 11, 2, "e"),
-            ("ws", 5, "a"),
-        ],
-    ),
+# constraints, in order: ("B", w, value) sets the shadow coefficient B_w
+# to an integer, or names it when value is a string; ("ABmatch",) equates
+# A_d with B_(d-1) at the inferred minimum weight d.  names: the parameters
+# for the a_j still free afterwards, highest j first (see apply_shadow_case).
+_CASES: dict[tuple[int, str], tuple[list, list[str]]] = {
+    (82, "wt1"): ([("B", 1, 1), ("B", 5, 0), ("B", 9, 0), ("ABmatch",)], []),
+    (82, "min5"): ([("B", 1, 0), ("B", 5, 1)], ["alpha", "beta"]),
+    (82, "min9"): ([("B", 1, 0), ("B", 5, 0)], ["alpha", "beta"]),
+    (82, "ge5"): ([("B", 1, 0), ("B", 5, "a")], ["b", "c"]),
+    (58, "min5"): ([("B", 1, 0), ("B", 5, "beta"), ("B", 9, "gamma")], []),
+    (106, "min5"): ([("B", 1, 0), ("B", 5, "a")], ["b", "c", "d"]),
+    (130, "min5"): ([("B", 1, 0), ("B", 5, "a")], ["b", "c", "d", "e"]),
 }
 # the three-parameter n=82 family doubles as the d(S) >= 5 case there
 _CASES[(58, "ge5")] = _CASES[(58, "min5")]
@@ -504,9 +472,13 @@ def apply_shadow_case(g: GleasonCoeffs, case: str) -> Family:
     106, 130 the cases "min5"/"ge5" both give the d(S) >= 5 family with
     B_1 = 0; B_5 stays a free parameter at those lengths.
 
-    The surviving free coefficients are renamed to the conventional
-    letters (alpha, beta for n = 82 cases 2-3; beta, gamma for n = 58;
-    a..e for the uniform families).
+    Each constraint is solved for the highest a_j it involves.  Every a_j
+    still free afterwards, highest j first, becomes 2^max(0, 6j - n/2) * p
+    for the case's next parameter name p (alpha, beta for n = 82 cases
+    2-3; b, c, ... for the uniform families), or p = a{j} once the names
+    run out.  The scale is the inverse of the power of two in a_j's
+    shadow-basis factor (-1)^j 2^(n/2-6j), so that p enters W_S with
+    integral coefficients.
 
     Raises:
         ValueError: unsupported (n, case) combination.
@@ -519,7 +491,7 @@ def apply_shadow_case(g: GleasonCoeffs, case: str) -> Family:
             f"unsupported shadow case {case!r} for n={g.n}; "
             "supported: " + ", ".join(f"n={n}:{c}" for n, c in sorted(_CASES))
         )
-    constraints, renames = _CASES[key]
+    constraints, names = _CASES[key]
     a_names = [f"a{j}" for j in range(len(g.a))]
     sym_ws = shadow_transform(g).as_dict()
     sym_wc = g.to_enumerator().as_dict()
@@ -531,36 +503,24 @@ def apply_shadow_case(g: GleasonCoeffs, case: str) -> Family:
     for con in constraints:
         if con[0] == "B":
             _, w, value = con
-            form = current(sym_ws, w) - value
-            _pin(mapping, form, a_names, f"B_{w} = {value}")
+            named = isinstance(value, str)
+            form = current(sym_ws, w) - (LinearForm.var(value) if named else value)
+            what = f"{'naming ' if named else ''}B_{w} = {value}"
         else:
             d = _min_weight_of(sym_wc, mapping)
-            eq = current(sym_wc, d) - current(sym_ws, d - 1)
-            _pin(mapping, eq, a_names, f"A_{d} = B_{d - 1}")
-    for rn in renames:
-        if rn[0] == "aj":
-            _, j, scale, name = rn
-            nm = f"a{j}"
-            if nm in mapping:
-                raise InconsistentConstraints(
-                    f"cannot rename {nm}: already pinned to {mapping[nm]}"
-                )
-            mapping[nm] = LinearForm.make(0, {name: scale})
-        else:
-            _, w, name = rn
-            form = current(sym_ws, w) - LinearForm.var(name)
-            _pin(mapping, form, a_names, f"naming B_{w} = {name}")
+            form = current(sym_wc, d) - current(sym_ws, d - 1)
+            what = f"A_{d} = B_{d - 1}"
+        _pin(mapping, form, a_names, what)
     wc = ParamPoly.from_dict(sym_wc).substitute(mapping)
     ws = ParamPoly.from_dict(sym_ws).substitute(mapping)
-    leftover = sorted({*wc.params, *ws.params} & set(a_names), key=_name_key)
-    if leftover:
-        # the constraint-and-rename table matches the tabulated minimum
-        # weight; a smaller dmin leaves extra coefficients unnamed
-        raise ValueError(
-            f"case {case!r} for n={g.n} leaves free coefficients "
-            f"{', '.join(leftover)}; "
-            "supply enough vanishing low-weight terms first"
-        )
+    free = {*wc.params, *ws.params}
+    names = iter(names)
+    scaled = {
+        nm: LinearForm.make(0, {next(names, nm): 2 ** max(0, 6 * j - g.n // 2)})
+        for j, nm in reversed(list(enumerate(a_names)))
+        if nm in free
+    }
+    wc, ws = wc.substitute(scaled), ws.substitute(scaled)
     for poly in (wc, ws):
         for e, f in poly.coefficients:
             if f.is_constant and f.constant < 0:
@@ -750,19 +710,21 @@ def _form_json(f: LinearForm) -> dict:
 
 
 def family_to_json(family: Family, max_exponent: int | None = None) -> dict:
-    """JSON-ready description of a family; rationals become "p/q" strings."""
+    """JSON-ready description of a family; rationals become "p/q" strings.
+
+    ``params`` are those of the whole family; the polynomials are those of
+    ``family.displayed(max_exponent)``.
+    """
+    shown = family.displayed(max_exponent)
 
     def poly_json(poly: ParamPoly) -> list[dict]:
-        return [
-            {"deg": e, **_form_json(f)}
-            for e, f in poly.truncate(max_exponent).coefficients
-        ]
+        return [{"deg": e, **_form_json(f)} for e, f in poly.coefficients]
 
     return {
         "n": family.n,
         "case": family.case,
         "d": family.d,
         "params": list(family.params),
-        "W_C": poly_json(family.wc),
-        "W_S": poly_json(family.ws),
+        "W_C": poly_json(shown.wc),
+        "W_S": poly_json(shown.ws),
     }

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 from sdcodes import reference as ref
-from sdcodes.cli import _congruences_for
 from sdcodes.constructions import (
     build_b80,
     build_c82,
@@ -40,6 +39,7 @@ from sdcodes.wefsym import (
     LinearForm,
     c1_basis,
     derive_parity,
+    family_congruences,
     family_for,
     gleason_expand,
     shadow_transform,
@@ -114,7 +114,9 @@ def test_ac5_parity_congruences():
     for k, name in sorted(ref.PARITY_PARAM.items()):
         assert derive_parity(k).relations == ((LinearForm.var(name), 2),), f"k={k}"
     # the n=82 display renames the free parameters to alpha, beta
-    assert _congruences_for(family_for(82, 14, "min5")) == ["beta == 0 (mod 2)"]
+    assert family_congruences(family_for(82, 14, "min5")).lines() == [
+        "beta == 0 (mod 2)"
+    ]
 
 
 def test_ac6_corrected_family_point():

@@ -111,6 +111,22 @@ class TestFamilies:
         assert ref.check_prefix(fam.wc, pc) == []
         assert ref.check_prefix(fam.ws, ps) == []
 
+    @pytest.mark.parametrize("case", SHADOW_CASES)
+    def test_parameters_enter_integrally(self, case):
+        # the scale 2^max(0, 6j - n/2) on each free a_j, leftovers included,
+        # clears the power of two in its shadow-basis factor
+        for dmin in range(2, 16, 2):
+            fam = family_for(82, dmin, case)
+            for poly in (fam.wc, fam.ws):
+                for e, form in poly.coefficients:
+                    assert all(c.denominator == 1 for _, c in form.terms), (
+                        f"dmin={dmin} y^{e}: {form}"
+                    )
+
+    def test_leftover_coefficients_keep_their_names(self):
+        assert family_for(82, 12, "min5").params == ("a6", "alpha", "beta")
+        assert family_for(82, 10, "ge5").params == ("a", "a5", "a6", "b", "c")
+
     @pytest.mark.parametrize("fid", sorted(ref.FAMILIES))
     def test_shadow_total_mass(self, fid):
         # summing all W_S coefficients must give |S| = 2^(n/2),
