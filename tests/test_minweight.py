@@ -200,6 +200,49 @@ class TestCountWords:
             assert w <= got.complete_upto
             assert cnt == full.counts.get(w, 0)
 
+    @pytest.mark.parametrize("cap", [12, 400])
+    def test_defective_sets_match_brute(self, rng, monkeypatch, cap):
+        """Sets that borrow pivots, and redundancies n - k that cross a word.
+
+        Rate above 1/2 leaves later information sets too few fresh columns,
+        so they borrow pivots of earlier sets; n - k in {63, 64, 65} puts
+        the columns off the first set's pivots on either side of 64.
+        """
+        monkeypatch.setattr(mw, "_CHUNK", 37)
+        monkeypatch.setattr(mw, "_MAT_CAP", cap)
+        codes = []
+        while len(codes) < 4:
+            n = rng.randrange(12, 22)
+            k = rng.randrange(n // 2 + 1, min(n, 16))
+            c = LinearCode.from_rows(n, [rng.getrandbits(n) for _ in range(k)])
+            if 2 * c.dimension > n:
+                codes.append(c)
+        for redundancy in (63, 64, 65):
+            k = rng.randrange(8, 13)
+            n = k + redundancy
+            c = LinearCode.from_rows(n, [rng.getrandbits(n) for _ in range(k)])
+            assert c.dimension == k
+            codes.append(c)
+        for c in codes:
+            gens = [r.bits for r in c.generators.rows]
+            assert any(s.defect for s in mw._build_info_sets(gens, c.length))
+            x = BitVector(c.length, rng.getrandbits(c.length))
+            brute = brute_force_wef(c)
+            brute_coset = brute_force_coset_wef(c, x)
+            weights = sorted(brute.counts)
+            for w in (weights[len(weights) // 4], weights[len(weights) // 2]):
+                got = count_words_upto(c, w)
+                assert got.complete_upto == w
+                assert got.counts == {
+                    k: v for k, v in brute.counts.items() if k <= w
+                }
+                coset = count_coset_upto(c, x, w)
+                assert coset.counts == {
+                    k: v for k, v in brute_coset.counts.items() if k <= w
+                }
+            assert min_weight(c) == brute_min(c)
+            assert coset_min_weight(c, x) == min(brute_coset.counts)
+
     def test_count_rejects_negative(self):
         with pytest.raises(ValueError):
             count_words_upto(e8_code(), -1)
