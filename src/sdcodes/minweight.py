@@ -58,8 +58,9 @@ import numpy as np
 from .gf2core import BitVector, LinearCode, eliminate, reduce_bits
 
 _CHUNK = 1 << 20
-# cap on a materialized level's row count (C(41, 6) = 4.5M fits, C(41, 7) not)
-_MAT_CAP = 9_000_000
+# cap on a materialized level's bytes: at n = 82 a row is one word, so
+# C(41, 6) rows (36 MB) fit and C(41, 7) rows (179 MB) do not
+_MAT_CAP = 1 << 26
 _BRUTE_MAX_DIM = 28
 
 
@@ -120,6 +121,11 @@ def _pack(bits: int, words: int) -> np.ndarray:
     return out
 
 
+def _compress(bits: int, cols: list[int]) -> int:
+    """The bits of ``bits`` at positions ``cols``, as bits 0, 1, ... ."""
+    return sum(1 << t for t, c in enumerate(cols) if bits >> c & 1)
+
+
 def _weights_of(arr: np.ndarray) -> np.ndarray:
     """Row weights of packed rows, one column popcount at a time.
 
@@ -138,11 +144,14 @@ def _weights_of(arr: np.ndarray) -> np.ndarray:
 @dataclass
 class _InfoSet:
     rows_int: list[int]  # basis diagonalized on this set's pivot columns
-    pivots: list[int]  # the k pivot columns, in row order
+    pivots: list[int]  # the k pivot columns, in row order: fresh, then borrowed
     defect: int  # pivot columns borrowed from earlier sets
+    # packed to every column but the fresh pivots (see the module docstring)
     rows_np: np.ndarray = field(init=False)
-    mask_np: np.ndarray = field(init=False)
     base_np: np.ndarray = field(init=False)
+    free_np: np.ndarray | None = field(init=False)  # non-pivots; None if all
+    masks_np: np.ndarray = field(init=False)  # earlier sets' pivot columns
+    mat_limit: int = field(init=False)  # deepest materialized level
 
 
 def _build_info_sets(gen_rows: list[int], n: int) -> list[_InfoSet]:
@@ -213,25 +222,34 @@ class _Engine:
             raise ValueError("the zero code has no enumerable words")
         self.n = code.length
         self.k = code.dimension
-        self.words = _nwords(self.n)
         gen_rows = [r.bits for r in code.generators.rows]
         off = offset.bits if offset is not None else 0
         self.sets = _build_info_sets(gen_rows, self.n)
-        for s in self.sets:
-            s.base_np = _pack(reduce_bits(off, s.rows_int, s.pivots), self.words)
-            s.rows_np = np.array(
-                [_pack(r, self.words) for r in s.rows_int], dtype=np.uint64
+        pivot_masks = [sum(1 << c for c in s.pivots) for s in self.sets]
+        for si, s in enumerate(self.sets):
+            fresh = set(s.pivots[: self.k - s.defect])
+            cols = [c for c in range(self.n) if c not in fresh]
+            words = _nwords(len(cols))
+
+            def pack(bits: int) -> np.ndarray:
+                return _pack(_compress(bits, cols), words)
+
+            s.rows_np = np.array([pack(r) for r in s.rows_int], dtype=np.uint64)
+            s.rows_np = s.rows_np.reshape(self.k, words)
+            s.base_np = pack(reduce_bits(off, s.rows_int, s.pivots))
+            s.free_np = (
+                pack(((1 << self.n) - 1) & ~pivot_masks[si]) if s.defect else None
             )
-            mask = 0
-            for col in s.pivots:
-                mask |= 1 << col
-            s.mask_np = _pack(mask, self.words)
+            s.masks_np = np.array(
+                [pack(m) for m in pivot_masks[:si]], dtype=np.uint64
+            ).reshape(si, words)
+            # levels beyond the byte cap stream as suffix tuples
+            row_bytes = 8 * max(1, words)
+            r = 0
+            while r < self.k and comb(self.k, r + 1) * row_bytes <= _MAT_CAP:
+                r += 1
+            s.mat_limit = r
         self.step, self.residue = _parity_step(gen_rows, off)
-        # deepest level materialized; higher levels stream as suffix tuples
-        r = 0
-        while r < self.k and comb(self.k, r + 1) <= _MAT_CAP:
-            r += 1
-        self.mat_limit = r
         # per-set materialized colex levels: _mat[si][r] has C(k, r) rows
         self._mat: list[list[np.ndarray]] = [
             [s.base_np.reshape(1, -1).copy()] for s in self.sets
@@ -272,7 +290,7 @@ class _Engine:
                 if cnt:
                     parts.append(mat[prev][:cnt] ^ s.rows_np[m])
             nxt = np.concatenate(parts) if parts else np.empty(
-                (0, self.words), dtype=np.uint64
+                (0, s.rows_np.shape[1]), dtype=np.uint64
             )
             assert nxt.shape[0] == comb(self.k, prev + 1)
             mat.append(nxt)
@@ -286,7 +304,7 @@ class _Engine:
         materialized before this returns, so a pool forked afterwards
         shares it; the descriptors are then produced lazily.
         """
-        b = min(r, self.mat_limit)
+        b = min(r, self.sets[si].mat_limit)
         self._materialize(si, b)
 
         def descriptors():
@@ -298,25 +316,26 @@ class _Engine:
 
         return descriptors()
 
-    def _source(
-        self, si: int, chunk: tuple
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(src, suffix): the chunk's rows are src XOR suffix.
+    def _rows(
+        self, si: int, chunk: tuple, w: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """(rows, weights, size): the chunk's packed rows of weight <= w.
 
-        ``src`` is a view of the materialized level; ``suffix`` is the XOR
-        of the suffix tuple's rows, or None when the tuple is empty.
+        A level-r row has exactly r ones on the set's pivot columns, so its
+        weight is r plus the popcount of its non-pivot columns; ``size`` is
+        the chunk's row count before the weight filter.
         """
         b, tup, lo, hi = chunk
-        src = self._mat[si][b][lo:hi]
-        if not tup:
-            return src, None
-        suffix = np.bitwise_xor.reduce(self.sets[si].rows_np[list(tup)], axis=0)
-        return src, suffix
-
-    def _rows(self, si: int, chunk: tuple) -> np.ndarray:
-        """The rows (offset folded in) that a chunk descriptor stands for."""
-        src, suffix = self._source(si, chunk)
-        return src if suffix is None else src ^ suffix
+        s = self.sets[si]
+        r = b + len(tup)
+        rows = self._mat[si][b][lo:hi]
+        if tup:
+            rows = rows ^ np.bitwise_xor.reduce(s.rows_np[list(tup)], axis=0)
+        free = rows if s.free_np is None else rows & s.free_np
+        # one uint8 popcount per row when the set's columns fit in a word
+        pc = np.bitwise_count(free[:, 0]) if free.shape[1] == 1 else _weights_of(free)
+        keep = np.flatnonzero(pc <= w - r)
+        return rows[keep], pc[keep].astype(np.int64) + r, rows.shape[0]
 
     def raw_bound(self, levels: list[int]) -> int:
         raw = sum(
@@ -353,13 +372,12 @@ class _Engine:
                     break  # whole space enumerated: hi is the true minimum
                 r = levels[nxt] + 1
                 for chunk in self._chunks(nxt, r):
-                    rows = self._rows(nxt, chunk)
-                    wts = _weights_of(rows)
+                    _, wts, size = self._rows(nxt, chunk, min(hi - 1, self.n))
                     if not include_zero:
                         wts = wts[wts > 0]
                     if wts.size:
-                        hi = min(hi, int(wts.min()))
-                    self._charge(rows.shape[0])
+                        hi = int(wts.min())
+                    self._charge(size)
                 levels[nxt] = r
         except _Exhausted:
             complete = False
@@ -389,24 +407,14 @@ class _Engine:
         whose restriction to some earlier set j's pivot columns has more
         than caps[j] ones: the rest were already tallied at set j.
         """
-        src, suffix = self._source(si, chunk)
-        # word 0's popcount is a lower bound on the weight, so most rows are
-        # rejected here before the survivors are built in full
-        word0 = src[:, 0] if suffix is None else src[:, 0] ^ suffix[0]
-        vals = src[np.flatnonzero(np.bitwise_count(word0) <= w)]
-        if suffix is not None:
-            vals ^= suffix
-        wts = _weights_of(vals)
-        keep = wts <= w
-        vals = vals[keep]
-        wts = wts[keep]
-        for s2, cap in zip(self.sets, caps):
-            if vals.shape[0] == 0:
+        rows, wts, size = self._rows(si, chunk, w)
+        for mask, cap in zip(self.sets[si].masks_np, caps):
+            if rows.shape[0] == 0:
                 break
-            keep2 = _weights_of(vals & s2.mask_np) > cap
-            vals = vals[keep2]
-            wts = wts[keep2]
-        return np.bincount(wts, minlength=w + 1), src.shape[0]
+            keep = _weights_of(rows & mask) > cap
+            rows = rows[keep]
+            wts = wts[keep]
+        return np.bincount(wts, minlength=w + 1), size
 
     def run_count(self, w: int, workers: int) -> tuple[dict[int, int], int]:
         """Counts elements of weight <= w; returns (counts, certified_upto).

@@ -27,7 +27,11 @@ from sdcodes.gf2core import (
     parity_class,
     shadow,
 )
-from sdcodes.minweight import brute_force_coset_wef, brute_force_wef
+from sdcodes.minweight import (
+    brute_force_coset_wef,
+    brute_force_wef,
+    count_words_upto,
+)
 from sdcodes.wefsym import family_for
 from conftest import e8_code, pairs_code, random_self_dual, _neighbor_step
 
@@ -131,6 +135,11 @@ class TestC82:
         assert (code.length, code.dimension) == (82, 41)
         assert code.is_self_dual
         assert parity_class(code) is ParityClass.SINGLY_EVEN
+
+    def test_counts_match_the_determined_family(self):
+        # W82_1 is fully determined, so counting C82 to weight 18 ties the
+        # enumeration engine to the symbolic layer
+        assert count_words_upto(build_c82(), 18).counts == ref.W82_1_C
 
     def test_extension_vector(self):
         x = BitVector.from_support(80, X80_SUPPORT)
