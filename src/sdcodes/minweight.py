@@ -17,30 +17,38 @@ levels.
 
 Cosets x + C are enumerated through per-set affine bases: x is reduced
 against each information set by ``gf2core.reduce_bits`` so that the reduced
-base vanishes on that set's columns.  The same lower-bound formula and deduplication rule then
-apply verbatim to the coset elements themselves.
+base vanishes on that set's pivot columns.  The same lower-bound formula
+and deduplication rule then apply verbatim to the coset elements
+themselves.
 
-Enumeration is vectorized with numpy on bit-packed uint64 words.  Level r
-of a set is materialized in colex order from level r - 1 while it fits in
-memory; higher levels are streamed as suffix tuples XORed onto the largest
-materialized level.  Counts are deterministic: they do not depend on chunk
-sizes or on the number of workers.
+Enumeration is vectorized with numpy on bit-packed uint64 words, and each
+set packs its rows, its base and its materialized levels to its own
+columns: every column except its fresh pivots.  A level-r row of set i is
+the base XOR r of the set's rows.  The rows are the identity on the pivot
+columns and the base vanishes there, so the row has exactly r ones on
+them, and its weight is
 
-Every level is cut into the same chunk descriptors, and one tally routine
-applies the weight and dedup filter to a chunk.  It first reads only
-packed word 0 of each row, the materialized word XORed with word 0 of the
-suffix, and keeps the rows whose word-0 popcount is at most w.  This is
-sound because the popcount of one word is a lower bound on the row's
-weight; counting a Table 1 neighbor (n = 82) to weight 16, it rejects
-about 89% of the rows.  Only the survivors are gathered and XORed with the
-full suffix, and the exact weight and dedup tests run on them alone.
+    wt = r + popcount(packed row & non-pivot columns).
 
-Serial counting is the one-worker case of that chunk loop; with more
-workers the same descriptors go to a per-level pool of forked processes,
-which read the materialized levels (about 170 MB at n = 82) copy-on-write
-instead of receiving a pickled copy.  Since the word-0 prefilter made the
-tally cheap, that per-level pool roughly breaks even: on two cores it gains
-under 1.2x in wall time for about twice the CPU time.  It is kept only
+The test is exact, so a row is kept or dropped by its first popcount.  At
+n = 82 and k = 41 the packed width is 41 columns, one word per row.
+Pivots a set borrowed from earlier sets stay in its packed rows: the dedup
+test of set i reads each row on the pivot columns of every earlier set,
+and set i's borrowed pivots are among those.  Its fresh pivots can be left
+out, because no earlier set has them among its pivots.  Only the weight
+test masks the borrowed columns out, since r already counts them.
+
+Level r of a set is materialized in colex order from level r - 1 while the
+level fits under a byte cap; higher levels are streamed as suffix tuples
+XORed onto the largest materialized level.  Counts are deterministic: they
+do not depend on chunk sizes or on the number of workers.
+
+Serial counting is the one-worker case of one chunk loop; with more
+workers the same chunk descriptors go to a per-level pool of forked
+processes, which read the materialized levels (about 86 MB at n = 82)
+copy-on-write instead of receiving a pickled copy.  That per-level pool
+no longer pays: on two cores, counting a Table 1 neighbor to weight 16
+takes 0.73 s with two workers against 0.42 s with one.  It is kept only
 until one process per certificate replaces it (ROADMAP item 4).
 """
 
@@ -231,18 +239,20 @@ class _Engine:
             cols = [c for c in range(self.n) if c not in fresh]
             words = _nwords(len(cols))
 
-            def pack(bits: int) -> np.ndarray:
-                return _pack(_compress(bits, cols), words)
+            def pack(*ints: int) -> np.ndarray:
+                return np.array(
+                    [_pack(_compress(b, cols), words) for b in ints],
+                    dtype=np.uint64,
+                ).reshape(len(ints), words)
 
-            s.rows_np = np.array([pack(r) for r in s.rows_int], dtype=np.uint64)
-            s.rows_np = s.rows_np.reshape(self.k, words)
-            s.base_np = pack(reduce_bits(off, s.rows_int, s.pivots))
+            s.rows_np = pack(*s.rows_int)
+            s.base_np = pack(reduce_bits(off, s.rows_int, s.pivots))[0]
             s.free_np = (
-                pack(((1 << self.n) - 1) & ~pivot_masks[si]) if s.defect else None
+                pack(((1 << self.n) - 1) & ~pivot_masks[si])[0]
+                if s.defect
+                else None
             )
-            s.masks_np = np.array(
-                [pack(m) for m in pivot_masks[:si]], dtype=np.uint64
-            ).reshape(si, words)
+            s.masks_np = pack(*pivot_masks[:si])
             # levels beyond the byte cap stream as suffix tuples
             row_bytes = 8 * max(1, words)
             r = 0
@@ -332,8 +342,10 @@ class _Engine:
         if tup:
             rows = rows ^ np.bitwise_xor.reduce(s.rows_np[list(tup)], axis=0)
         free = rows if s.free_np is None else rows & s.free_np
-        # one uint8 popcount per row when the set's columns fit in a word
-        pc = np.bitwise_count(free[:, 0]) if free.shape[1] == 1 else _weights_of(free)
+        if free.shape[1] == 1:  # one uint8 popcount per row, no int64 sum
+            pc = np.bitwise_count(free[:, 0])
+        else:
+            pc = _weights_of(free)
         keep = np.flatnonzero(pc <= w - r)
         return rows[keep], pc[keep].astype(np.int64) + r, rows.shape[0]
 

@@ -213,12 +213,12 @@ class TestCountWords:
         codes = []
         while len(codes) < 4:
             n = rng.randrange(12, 22)
-            k = rng.randrange(n // 2 + 1, min(n, 16))
+            k = rng.randrange(n // 2 + 1, min(n, 14))
             c = LinearCode.from_rows(n, [rng.getrandbits(n) for _ in range(k)])
             if 2 * c.dimension > n:
                 codes.append(c)
         for redundancy in (63, 64, 65):
-            k = rng.randrange(8, 13)
+            k = rng.randrange(8, 11)
             n = k + redundancy
             c = LinearCode.from_rows(n, [rng.getrandbits(n) for _ in range(k)])
             assert c.dimension == k
