@@ -50,6 +50,10 @@ copy-on-write instead of receiving a pickled copy.  That per-level pool
 no longer pays: on two cores, counting a Table 1 neighbor to weight 16
 takes 0.73 s with two workers against 0.42 s with one.  It is kept only
 until one process per certificate replaces it (ROADMAP item 4).
+
+numpy is imported on the first enumeration, not with the module: code
+construction, the exact algebra and the CLI's start-up never need it, and
+its import is the largest part of their start-up time.
 """
 
 from __future__ import annotations
@@ -58,12 +62,23 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from math import comb, inf
-from multiprocessing import get_all_start_methods, get_context
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .gf2core import BitVector, LinearCode, eliminate, reduce_bits
+
+
+class _LazyNumpy:
+    """Stands in for numpy until first touched, then rebinds ``np`` to it."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 _CHUNK = 1 << 20
 # cap on a materialized level's bytes: at n = 82 a row is one word, so
@@ -443,7 +458,11 @@ class _Engine:
         plan = self.plan_levels(w)
         hist = np.zeros(w + 1, dtype=np.int64)
         done = [-1] * len(self.sets)
-        fork = workers > 1 and "fork" in get_all_start_methods()
+        fork = False
+        if workers > 1:
+            from multiprocessing import get_all_start_methods, get_context
+
+            fork = "fork" in get_all_start_methods()
         exhausted = False
         try:
             for si in range(len(self.sets)):
