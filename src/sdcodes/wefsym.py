@@ -18,9 +18,14 @@ no floating point in this module.  The pipeline is:
      congruences its integrality forces; ``derive_parity`` applies this to
      the tabulated d = 4k + 2 families (gamma, c, d, e even).
 
-Polynomials are sparse maps exponent -> coefficient: plain dicts of
-rationals internally, and ParamPoly, whose coefficients are affine-linear
-forms in named parameters, for every family the module returns.
+Polynomials are sparse maps exponent -> coefficient: plain dicts
+internally, and ParamPoly, whose coefficients are affine-linear forms in
+named parameters, for every family the module returns.  The internal
+bases are seeded with Python ints, so their coefficients stay ints
+except for the powers 2^(n/2-6j) < 1 of the shadow basis.  Every sum of
+forms goes through one routine, ``_sum_forms``, which accumulates the
+constant and the per-parameter coefficients and builds the form once.
+Float inputs are refused with a TypeError.
 """
 
 from __future__ import annotations
@@ -47,11 +52,21 @@ class InfeasibleCase(ValueError):
 _NAME_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
 
 
+@cache
 def _name_key(name: str) -> tuple[str, int]:
     m = _NAME_RE.match(name)
     if not m:
         raise ValueError(f"invalid parameter name {name!r}")
     return (m.group(1), int(m.group(2)) if m.group(2) else -1)
+
+
+def _exact(value: Rational) -> Fraction:
+    """``value`` as a Fraction; a float is refused, being inexact."""
+    if isinstance(value, float):
+        raise TypeError(
+            f"{value!r} is a float; exact algebra takes ints and Fractions"
+        )
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -71,13 +86,15 @@ class LinearForm:
     ) -> "LinearForm":
         clean = {}
         for name, c in (terms or {}).items():
-            q = Fraction(c)
+            q = c if isinstance(c, Fraction) else _exact(c)
             if q:
                 clean[name] = q
         ordered = tuple(
             (name, clean[name]) for name in sorted(clean, key=_name_key)
         )
-        return cls(Fraction(constant), ordered)
+        if not isinstance(constant, Fraction):
+            constant = _exact(constant)
+        return cls(constant, ordered)
 
     @classmethod
     def var(cls, name: str) -> "LinearForm":
@@ -107,17 +124,13 @@ class LinearForm:
         return bool(self.terms) or bool(self.constant)
 
     def __add__(self, other: "LinearForm | Rational") -> "LinearForm":
-        other = LinearForm.of(other)
-        acc = dict(self.terms)
-        for n, c in other.terms:
-            acc[n] = acc.get(n, Fraction(0)) + c
-        return LinearForm.make(self.constant + other.constant, acc)
+        return _sum_forms(((self, 1), (LinearForm.of(other), 1)))
 
     def __sub__(self, other: "LinearForm | Rational") -> "LinearForm":
-        return self + (LinearForm.of(other) * -1)
+        return _sum_forms(((self, 1), (LinearForm.of(other), -1)))
 
     def __mul__(self, scalar: Rational) -> "LinearForm":
-        q = Fraction(scalar)
+        q = _exact(scalar)
         return LinearForm.make(
             self.constant * q, {n: c * q for n, c in self.terms}
         )
@@ -127,13 +140,13 @@ class LinearForm:
     def substitute(
         self, mapping: Mapping[str, "LinearForm | Rational"]
     ) -> "LinearForm":
-        out = LinearForm.make(self.constant)
-        for n, c in self.terms:
-            if n in mapping:
-                out = out + LinearForm.of(mapping[n]) * c
-            else:
-                out = out + LinearForm.make(0, {n: c})
-        return out
+        if not any(n in mapping for n, _ in self.terms):
+            return self
+        kept = tuple((n, c) for n, c in self.terms if n not in mapping)
+        return _sum_forms(
+            [(LinearForm(self.constant, kept), 1)]
+            + [(LinearForm.of(mapping[n]), c) for n, c in self.terms if n in mapping]
+        )
 
     def evaluate(self, assignment: Mapping[str, Rational]) -> Fraction:
         total = self.constant
@@ -166,6 +179,17 @@ class LinearForm:
 _ZERO = LinearForm.make(0)
 
 
+def _sum_forms(pairs: Iterable[tuple[LinearForm, Rational]]) -> LinearForm:
+    """Sum(c * form) over (form, c) pairs, with one ``make`` at the end."""
+    constant: Rational = 0
+    acc: dict[str, Fraction] = {}
+    for form, c in pairs:
+        constant += form.constant * c
+        for n, t in form.terms:
+            acc[n] = acc[n] + t * c if n in acc else t * c
+    return LinearForm.make(constant, acc)
+
+
 # -- sparse polynomial helpers (plain dicts internally) ---------------------
 
 
@@ -183,7 +207,7 @@ def _pmul(a: dict, b: dict) -> dict:
 
 
 def _ppow(a: dict, exp: int) -> dict:
-    out = {0: Fraction(1)}
+    out = {0: 1}
     base = dict(a)
     e = exp
     while e:
@@ -241,11 +265,8 @@ class ParamPoly:
 
     def eval_at(self, y: Rational) -> LinearForm:
         """Value at a numeric y, as a form in the remaining parameters."""
-        q = Fraction(y)
-        total = _ZERO
-        for e, f in self.coefficients:
-            total = total + f * q**e
-        return total
+        q = _exact(y)
+        return _sum_forms((f, q**e) for e, f in self.coefficients)
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         acc = {e: f for e, f in self.coefficients}
@@ -254,7 +275,7 @@ class ParamPoly:
         return ParamPoly.from_dict(acc)
 
     def scale(self, s: Rational) -> "ParamPoly":
-        q = Fraction(s)
+        q = _exact(s)
         return ParamPoly.from_dict({e: f * q for e, f in self.coefficients})
 
     def __str__(self) -> str:
@@ -273,11 +294,11 @@ class ParamPoly:
 
 def _param_sum(pairs: Iterable[tuple[LinearForm, dict]]) -> dict[int, LinearForm]:
     """Accumulates Sum(form_i * poly_i) as exponent -> LinearForm."""
-    acc: dict[int, LinearForm] = {}
+    acc: dict[int, list[tuple[LinearForm, Rational]]] = {}
     for form, poly in pairs:
         for e, c in poly.items():
-            acc[e] = acc.get(e, _ZERO) + form * c
-    return acc
+            acc.setdefault(e, []).append((form, c))
+    return {e: _sum_forms(terms) for e, terms in acc.items()}
 
 
 # -- Gleason expansion and the shadow transform -----------------------------
@@ -285,9 +306,9 @@ def _param_sum(pairs: Iterable[tuple[LinearForm, dict]]) -> dict[int, LinearForm
 
 @cache
 def _gleason_basis(n: int) -> tuple[dict, ...]:
-    one_y2 = {0: Fraction(1), 2: Fraction(1)}
+    one_y2 = {0: 1, 2: 1}
     # y^2 (1-y^2)^2 = y^2 - 2y^4 + y^6
-    g2 = {2: Fraction(1), 4: Fraction(-2), 6: Fraction(1)}
+    g2 = {2: 1, 4: -2, 6: 1}
     return tuple(
         _pmul(_ppow(one_y2, n // 2 - 4 * j), _ppow(g2, j))
         for j in range(n // 8 + 1)
@@ -296,10 +317,11 @@ def _gleason_basis(n: int) -> tuple[dict, ...]:
 
 @cache
 def _shadow_basis(n: int) -> tuple[dict, ...]:
-    one_m_y4_sq = {0: Fraction(1), 4: Fraction(-1)}
+    one_m_y4_sq = {0: 1, 4: -1}
     out = []
     for j in range(n // 8 + 1):
-        scale = Fraction(-1) ** j * Fraction(2) ** (n // 2 - 6 * j)
+        m = n // 2 - 6 * j
+        scale = (-1) ** j * (2**m if m >= 0 else Fraction(1, 2**-m))
         poly = _ppow(one_m_y4_sq, 2 * j)
         out.append({e + n // 2 - 4 * j: c * scale for e, c in poly.items()})
     return tuple(out)
@@ -558,20 +580,18 @@ def c1_basis(k: int) -> ParamPoly:
     """
     if not 1 <= k <= 5:
         raise ValueError("k must be between 1 and 5")
-    phi = {0: Fraction(1), 4: Fraction(14), 8: Fraction(1)}
-    psi = _pmul({4: Fraction(1)}, _ppow({0: Fraction(1), 4: Fraction(-1)}, 4))
-    f = {
-        1: Fraction(1),
-        5: Fraction(-34),
-        13: Fraction(34),
-        17: Fraction(-1),
-    }
-    acc: dict[int, LinearForm] = {}
-    for i in range(k):
-        poly = _pmul(_pmul(_ppow(phi, 3 * k - 1 - 3 * i), _ppow(psi, i)), f)
-        for e, c in poly.items():
-            acc[e] = acc.get(e, _ZERO) + LinearForm.make(0, {f"b{i}": c})
-    return ParamPoly.from_dict(acc)
+    phi = {0: 1, 4: 14, 8: 1}
+    psi = _pmul({4: 1}, _ppow({0: 1, 4: -1}, 4))
+    f = {1: 1, 5: -34, 13: 34, 17: -1}
+    return ParamPoly.from_dict(
+        _param_sum(
+            (
+                LinearForm.var(f"b{i}"),
+                _pmul(_pmul(_ppow(phi, 3 * k - 1 - 3 * i), _ppow(psi, i)), f),
+            )
+            for i in range(k)
+        )
+    )
 
 
 def _parity_family(k: int) -> Family:

@@ -147,3 +147,28 @@ class TestCanonicalForms:
         if k >= 2:
             _check_canonical(w1_family(k), f"w1_family({k})")
 
+
+class TestNoFloats:
+    ONE = ParamPoly.from_dict({0: LinearForm.make(1), 2: LinearForm.var("x")})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LinearForm.make(0.1),
+            lambda: LinearForm.make(0, {"x": 0.5}),
+            lambda: LinearForm.var("x") * 0.5,
+            lambda: TestNoFloats.ONE.scale(0.5),
+            lambda: TestNoFloats.ONE.eval_at(0.5),
+        ],
+        ids=["make-constant", "make-term", "mul", "scale", "eval_at"],
+    )
+    def test_float_is_refused(self, build):
+        with pytest.raises(TypeError, match="float"):
+            build()
+
+    def test_exact_values_are_accepted(self):
+        half = LinearForm.make(Fraction(1, 2), {"x": 3})
+        assert half == ref.form_of(("1/2", {"x": "3"}))
+        assert self.ONE.scale(Fraction(1, 2)).coeff(2) == LinearForm.make(0, {"x": Fraction(1, 2)})
+        assert self.ONE.eval_at(Fraction(1, 2)) == LinearForm.make(1, {"x": Fraction(1, 4)})
+        assert self.ONE.eval_at(3) == LinearForm.make(1, {"x": 9})
