@@ -140,20 +140,18 @@ class LinearForm:
     def substitute(
         self, mapping: Mapping[str, "LinearForm | Rational"]
     ) -> "LinearForm":
-        if not any(n in mapping for n, _ in self.terms):
+        mapped = [(LinearForm.of(mapping[n]), c) for n, c in self.terms if n in mapping]
+        if not mapped:
             return self
         kept = tuple((n, c) for n, c in self.terms if n not in mapping)
-        return _sum_forms(
-            [(LinearForm(self.constant, kept), 1)]
-            + [(LinearForm.of(mapping[n]), c) for n, c in self.terms if n in mapping]
-        )
+        return _sum_forms([(LinearForm(self.constant, kept), 1), *mapped])
 
     def evaluate(self, assignment: Mapping[str, Rational]) -> Fraction:
         total = self.constant
         for n, c in self.terms:
             if n not in assignment:
                 raise ValueError(f"no value for parameter {n}")
-            total += c * Fraction(assignment[n])
+            total += c * _exact(assignment[n])
         return total
 
     def __str__(self) -> str:

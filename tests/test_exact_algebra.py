@@ -16,6 +16,8 @@ import pytest
 from sdcodes import reference as ref
 from sdcodes.wefsym import (
     _CASES,
+    InconsistentConstraints,
+    InfeasibleCase,
     LinearForm,
     ParamPoly,
     _name_key,
@@ -25,7 +27,6 @@ from sdcodes.wefsym import (
     shadow_transform,
     w1_family,
 )
-from sdcodes.wefsym import InconsistentConstraints, InfeasibleCase
 
 sympy = pytest.importorskip("sympy")
 
@@ -45,7 +46,9 @@ def _oracle_bases(n: int) -> tuple[list[list], list[dict]]:
     f2 = sympy.expand(x_to**2 * y_to**2 * (x_to**2 - y_to**2) ** 2)
     wc, ws = [], []
     for j in range(n // 8 + 1):
-        g = sympy.Poly((1 + Y**2) ** (n // 2 - 4 * j) * (Y**2 * (1 - Y**2) ** 2) ** j, Y)
+        g = sympy.Poly(
+            (1 + Y**2) ** (n // 2 - 4 * j) * (Y**2 * (1 - Y**2) ** 2) ** j, Y
+        )
         wc.append([g.coeff_monomial(Y**w) for w in range(n + 1)])
         s = sympy.Poly(sympy.expand(f1 ** (n // 2 - 4 * j) * f2**j), Y)
         ws.append({m[0]: c for m, c in s.terms()})
@@ -81,8 +84,8 @@ def test_gleason_and_shadow_match_sympy(n):
     a = sympy.symbols(f"a0:{J + 1}")
     # a full prefix (every a_j solved), a symbolic one, and two short
     # ones that leave the top a_j free
-    tops = [(J, False), (J, True), (rng.randint(1, J), True), (rng.randint(0, J - 1), False)]
-    for top, symbolic in tops:
+    tops = [(J, False), (J, True), (rng.randint(1, J), True)]
+    for top, symbolic in tops + [(rng.randint(0, J - 1), False)]:
         known = _random_prefix(top, rng, symbolic)
         equations = [
             sum(a[j] * wc_basis[j][w] for j in range(J + 1)) - _sym(known[w])
@@ -92,7 +95,8 @@ def test_gleason_and_shadow_match_sympy(n):
         want_a = list(solution) + list(a[top + 1 :])
 
         g = gleason_expand(n, known)
-        assert [sympy.expand(_sym(f) - w) for f, w in zip(g.a, want_a)] == [0] * (J + 1)
+        diffs = [sympy.expand(_sym(f) - w) for f, w in zip(g.a, want_a)]
+        assert diffs == [0] * (J + 1), (n, known)
 
         wc = g.to_enumerator()
         for w in range(n + 1):
@@ -149,7 +153,8 @@ class TestCanonicalForms:
 
 
 class TestNoFloats:
-    ONE = ParamPoly.from_dict({0: LinearForm.make(1), 2: LinearForm.var("x")})
+    # 1 + x y^2
+    POLY = ParamPoly.from_dict({0: LinearForm.make(1), 2: LinearForm.var("x")})
 
     @pytest.mark.parametrize(
         "build",
@@ -157,10 +162,11 @@ class TestNoFloats:
             lambda: LinearForm.make(0.1),
             lambda: LinearForm.make(0, {"x": 0.5}),
             lambda: LinearForm.var("x") * 0.5,
-            lambda: TestNoFloats.ONE.scale(0.5),
-            lambda: TestNoFloats.ONE.eval_at(0.5),
+            lambda: LinearForm.var("x").evaluate({"x": 0.5}),
+            lambda: TestNoFloats.POLY.scale(0.5),
+            lambda: TestNoFloats.POLY.eval_at(0.5),
         ],
-        ids=["make-constant", "make-term", "mul", "scale", "eval_at"],
+        ids=["make-constant", "make-term", "mul", "evaluate", "scale", "eval_at"],
     )
     def test_float_is_refused(self, build):
         with pytest.raises(TypeError, match="float"):
@@ -169,6 +175,8 @@ class TestNoFloats:
     def test_exact_values_are_accepted(self):
         half = LinearForm.make(Fraction(1, 2), {"x": 3})
         assert half == ref.form_of(("1/2", {"x": "3"}))
-        assert self.ONE.scale(Fraction(1, 2)).coeff(2) == LinearForm.make(0, {"x": Fraction(1, 2)})
-        assert self.ONE.eval_at(Fraction(1, 2)) == LinearForm.make(1, {"x": Fraction(1, 4)})
-        assert self.ONE.eval_at(3) == LinearForm.make(1, {"x": 9})
+        half_x = LinearForm.make(0, {"x": Fraction(1, 2)})
+        assert self.POLY.scale(Fraction(1, 2)).coeff(2) == half_x
+        quarter = Fraction(1, 4)
+        assert self.POLY.eval_at(Fraction(1, 2)) == LinearForm.make(1, {"x": quarter})
+        assert self.POLY.eval_at(3) == LinearForm.make(1, {"x": 9})
