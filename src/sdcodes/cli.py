@@ -119,10 +119,12 @@ class Report:
         return self.exit_code
 
 
-def _budget_of(args) -> SearchBudget | None:
-    limit = getattr(args, "minweight_budget", None)
+def _budget_of(report: Report, args) -> SearchBudget | None:
+    """The ``--minweight-budget`` search budget, recorded on the report."""
+    limit = args.minweight_budget
     if limit is None:
         return None
+    report.budget = {"max_enumerated": limit}
     return SearchBudget(max_enumerated=limit)
 
 
@@ -164,12 +166,12 @@ def _parse_vector(args, length: int) -> BitVector:
 def _output_code(report: Report, code: LinearCode, out: str | None):
     report.results["n"] = code.length
     report.results["k"] = code.dimension
-    report.results["generators"] = [r.to01() for r in code.generators.rows]
+    report.results["generators"] = [r.to01() for r in code.generators]
     if out:
         save_code(code, out)
         report.say(f"wrote [{code.length},{code.dimension}] code to {out}")
     else:
-        for r in code.generators.rows:
+        for r in code.generators:
             report.say(r.to01())
 
 
@@ -179,9 +181,7 @@ def _output_code(report: Report, code: LinearCode, out: str | None):
 def cmd_code_check(args) -> int:
     report = Report(command="code check", inputs={"path": args.path})
     code = _load(args.path)
-    budget = _budget_of(args)
-    if budget:
-        report.budget = {"max_enumerated": budget.max_enumerated}
+    budget = _budget_of(report, args)
     report.results["n"] = code.length
     report.results["k"] = code.dimension
     report.results["self_dual"] = code.is_self_dual
@@ -242,7 +242,7 @@ def cmd_code_shadow(args) -> int:
         )
     sh = shadow(code)
     report.results["rep"] = sh.rep.to01()
-    report.results["c0_generators"] = [r.to01() for r in sh.c0.generators.rows]
+    report.results["c0_generators"] = [r.to01() for r in sh.c0.generators]
     _record_weight(report, "d_shadow", coset_min_weight(code, sh.rep))
     report.say(f"shadow = rep + C0 with rep {sh.rep.to01()}")
     return report.emit(args.json)
@@ -278,9 +278,10 @@ def _render_family(
 
 
 def cmd_wef_possible(args) -> int:
+    case = args.shadow_case or "min5"
     report = Report(
         command="wef possible",
-        inputs={"n": args.n, "dmin": args.dmin, "shadow_case": args.shadow_case},
+        inputs={"n": args.n, "dmin": args.dmin, "shadow_case": case},
     )
     n, dmin = args.n, args.dmin
     if n % 2 or n <= 0:
@@ -288,14 +289,14 @@ def cmd_wef_possible(args) -> int:
     if dmin % 2 or dmin <= 0:
         raise SystemExit("error: dmin must be a positive even integer")
     tabulated = n in FAMILY_LENGTHS
-    if not tabulated and args.shadow_case != "min5":
+    if not tabulated and args.shadow_case is not None:
         raise SystemExit(
             f"error: no shadow cases tabulated for n={n}; "
             "omit --shadow-case to see the generic expansion"
         )
     try:
         if tabulated:
-            family = family_for(n, dmin, args.shadow_case)
+            family = family_for(n, dmin, case)
             congs = family_congruences(family).lines()
         else:
             g = gleason_expand(n, {0: 1} | {w: 0 for w in range(2, dmin, 2)})
@@ -439,9 +440,7 @@ def cmd_reproduce_table1(args) -> int:
     report = Report(command="reproduce table1")
     selection = _table1_selection(args)
     report.inputs["selection"] = selection
-    budget = _budget_of(args)
-    if budget:
-        report.budget = {"max_enumerated": budget.max_enumerated}
+    budget = _budget_of(report, args)
     base = build_c82()
     specs = {s.index: s for s in table1()}
     rows = []
@@ -586,9 +585,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmin", type=int, required=True)
     p.add_argument(
         "--shadow-case",
-        default="min5",
         choices=SHADOW_CASES,
-        help="shadow minimum-weight case (default min5)",
+        help="shadow minimum-weight case at a tabulated n (default min5)",
     )
     p.add_argument(
         "--max-exponent",

@@ -9,12 +9,9 @@ the fifty recorded self-dual neighbors of that code.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .gf2core import BitVector, LinearCode, _kernel_rows, concat, coset_split
-
-logger = logging.getLogger(__name__)
 
 # first row of the 39 x 39 circulant block of the [80,40,16] code
 B80_FIRST_ROW = "111100000100101111101011101001101100011"
@@ -42,11 +39,9 @@ def _rotations(first: BitVector) -> list[int]:
     return [((bits << s) | (bits >> (m - s))) & mask if s else bits for s in range(m)]
 
 
-def _assemble(spec: CirculantSpec, reverse: bool) -> LinearCode:
+def _assemble(spec: CirculantSpec) -> LinearCode:
     m = spec.first_row.length
     rot = _rotations(spec.first_row)
-    if reverse:
-        rot = [rot[0]] + rot[1:][::-1]
     if spec.border:
         # right block: corner 0 with a row of 1s, then a column of 1s
         # alongside the circulant rows
@@ -66,25 +61,17 @@ def _assemble(spec: CirculantSpec, reverse: bool) -> LinearCode:
 def bordered_double_circulant(spec: CirculantSpec) -> LinearCode:
     """The self-dual code [I | B] with B a (bordered) circulant block.
 
-    Row i+1 of the circulant block is the cyclic right shift of row i;
-    if that convention fails the self-orthogonality certificate the
-    builder retries with left shifts and logs the switch.
+    Row i+1 of the circulant block is the cyclic right shift of row i.
+    Left shifts would give the same Gram matrix, since the first row's
+    cyclic autocorrelation is symmetric.
 
     Raises:
-        ValueError: neither shift convention yields a self-orthogonal
-            code (malformed first row).
+        ValueError: the code is not self-orthogonal (malformed first row).
     """
-    code = _assemble(spec, reverse=False)
-    if code.is_self_orthogonal:
-        logger.debug("circulant convention: right shift")
-        return code
-    code = _assemble(spec, reverse=True)
-    if code.is_self_orthogonal:
-        logger.info("right-shift circulant was not self-orthogonal; using left shift")
-        return code
-    raise ValueError(
-        "circulant spec yields no self-orthogonal code under either shift convention"
-    )
+    code = _assemble(spec)
+    if not code.is_self_orthogonal:
+        raise ValueError("circulant spec yields no self-orthogonal code")
+    return code
 
 
 def tsai_extend(c: LinearCode, x: BitVector) -> LinearCode:
@@ -100,7 +87,7 @@ def tsai_extend(c: LinearCode, x: BitVector) -> LinearCode:
         ValueError: c not doubly even self-dual, or x not of odd weight.
     """
     split = coset_split(c, x)
-    rows = [concat(BitVector(2, 0), g) for g in split.c0.generators.rows]
+    rows = [concat(BitVector(2, 0), g) for g in split.c0.generators]
     rows.append(concat(BitVector.from01("10"), split.r1))
     rows.append(concat(BitVector.from01("11"), split.r2))
     return LinearCode.from_rows(c.length + 2, rows)
@@ -137,13 +124,15 @@ def neighbor(c: LinearCode, x: BitVector) -> LinearCode:
     return LinearCode.from_rows(c.length, rows + [x])
 
 
-def neighbor_counts(alpha: int, beta: int) -> tuple[int, int]:
-    """Exact (A_14, A_16) of the length-82 families with no weight-1 shadow."""
-    return 3280 + 2 * beta, 36244 + 128 * alpha - 2 * beta
-
-
 def neighbor_parameters(a14: int, a16: int) -> tuple[int, int]:
-    """Inverts neighbor_counts; raises ValueError off the integer lattice."""
+    """(alpha, beta) from the exact counts of a length-82 neighbor.
+
+    The families with no weight-1 shadow vector (W2 and W3) have
+    A_14 = 3280 + 2*beta and A_16 = 36244 + 128*alpha - 2*beta.
+
+    Raises:
+        ValueError: the counts lie off that integer lattice.
+    """
     if (a14 - 3280) % 2:
         raise ValueError(f"A_14 = {a14} does not fit 3280 + 2*beta")
     beta = (a14 - 3280) // 2

@@ -1,4 +1,4 @@
-"""Binary linear codes over GF(2): vectors, matrices, duality, and shadows.
+"""Binary linear codes over GF(2): vectors, codes, duality, and shadows.
 
 Vectors are stored as packed integers (bit i of the integer is coordinate
 i + 1 of the vector), so weight, XOR, AND and inner products are single
@@ -6,7 +6,7 @@ machine operations on arbitrary-length words.  All user-facing coordinate
 labels, such as supports and file formats, are 1-indexed; bit positions
 inside the packed integers are 0-indexed.
 
-Codes are kept in a canonical form: the generator matrix is always the
+Codes are kept in a canonical form: a code is the tuple of rows of the
 reduced row echelon form of whatever rows were supplied.  Two ``LinearCode``
 objects are equal exactly when they describe the same set of codewords.
 """
@@ -84,11 +84,6 @@ class BitVector:
         self._check(other)
         return (self.bits & other.bits).bit_count() & 1
 
-    def overlap(self, other: "BitVector") -> int:
-        """Size of the support intersection (an ordinary integer)."""
-        self._check(other)
-        return (self.bits & other.bits).bit_count()
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         self._check(other)
         return BitVector(self.length, self.bits ^ other.bits)
@@ -131,47 +126,6 @@ def concat(*parts: BitVector) -> BitVector:
     return BitVector(shift, bits)
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """An immutable matrix over GF(2), stored as a tuple of equal-length rows."""
-
-    length: int
-    rows: tuple[BitVector, ...]
-
-    def __post_init__(self):
-        for r in self.rows:
-            if r.length != self.length:
-                raise ValueError("rows of differing length")
-
-    @classmethod
-    def from_rows(cls, length: int, rows: Iterable) -> "BitMatrix":
-        """Accepts BitVector, packed-int, or 0/1-string rows."""
-        out = []
-        for r in rows:
-            if isinstance(r, BitVector):
-                out.append(r)
-            elif isinstance(r, int):
-                out.append(BitVector(length, r))
-            elif isinstance(r, str):
-                v = BitVector.from01(r)
-                if v.length != length:
-                    raise ValueError(f"row length {v.length} != {length}")
-                out.append(v)
-            else:
-                raise TypeError(f"cannot build a row from {type(r).__name__}")
-        return cls(length, tuple(out))
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[BitVector]:
-        return iter(self.rows)
-
-    def __str__(self) -> str:
-        return "\n".join(r.to01() for r in self.rows)
-
-
 def eliminate(
     rows: Sequence[int], cols: Iterable[int]
 ) -> tuple[list[int], list[int]]:
@@ -203,36 +157,13 @@ def eliminate(
     return work, pivots
 
 
-def rref(matrix: BitMatrix) -> tuple[BitMatrix, int, tuple[int, ...]]:
-    """Reduced row echelon form over GF(2).
+def reduce_bits(bits: int, rows: Iterable[int], pivots: Iterable[int]) -> int:
+    """Clears each pivot column of ``bits`` with the RREF row that holds it.
 
-    Returns:
-        A triple (reduced, rank, pivots).  ``reduced`` keeps only the
-        nonzero rows, one per pivot, with each pivot column cleared in
-        every other row.  ``pivots`` holds the 0-indexed pivot columns
-        in increasing order.
-    """
-    n = matrix.length
-    work, pivots = eliminate([r.bits for r in matrix.rows], range(n))
-    rank = len(pivots)
-    reduced = BitMatrix(n, tuple(BitVector(n, w) for w in work[:rank]))
-    return reduced, rank, tuple(pivots)
-
-
-def reduce_by(vector: BitVector, basis: BitMatrix, pivots: Sequence[int]) -> BitVector:
-    """Clears the pivot columns of ``vector`` against an RREF basis.
-
-    The result is the canonical representative of ``vector``'s coset of
-    the row space: two vectors reduce to the same value exactly when they
+    The result is the canonical representative of ``bits``'s coset of the
+    row space: two vectors reduce to the same value exactly when they
     differ by a row-space element.
     """
-    rows = (row.bits for row in basis.rows)
-    return BitVector(vector.length, reduce_bits(vector.bits, rows, pivots))
-
-
-def reduce_bits(bits: int, rows: Iterable[int], pivots: Iterable[int]) -> int:
-    """``reduce_by`` on packed ints: clears each pivot column of ``bits``
-    with the row that holds it."""
     for row, col in zip(rows, pivots):
         if bits >> col & 1:
             bits ^= row
@@ -252,43 +183,56 @@ class ParityClass(Enum):
 
 @dataclass(frozen=True)
 class LinearCode:
-    """A binary linear code, held as a canonical RREF generator matrix.
+    """A binary linear code, held as its canonical RREF generator rows.
 
     Construct through :meth:`from_rows` unless the rows are already reduced;
     the constructor itself trusts its input.
     """
 
     length: int
-    generators: BitMatrix
+    generators: tuple[BitVector, ...]
 
     @classmethod
     def from_rows(cls, length: int, rows: Iterable) -> "LinearCode":
-        reduced, _, _ = rref(BitMatrix.from_rows(length, rows))
-        return cls(length, reduced)
+        """The code spanned by BitVector, packed-int, or 0/1-string rows.
+
+        Raises:
+            TypeError: a row of any other type.
+            ValueError: a row of the wrong length.
+        """
+        bits = []
+        for r in rows:
+            if isinstance(r, int):
+                r = BitVector(length, r)
+            elif isinstance(r, str):
+                r = BitVector.from01(r)
+            elif not isinstance(r, BitVector):
+                raise TypeError(f"cannot build a row from {type(r).__name__}")
+            if r.length != length:
+                raise ValueError(f"row length {r.length} != {length}")
+            bits.append(r.bits)
+        work, pivots = eliminate(bits, range(length))
+        return cls(length, tuple(BitVector(length, w) for w in work[: len(pivots)]))
 
     @property
     def dimension(self) -> int:
-        return self.generators.num_rows
+        return len(self.generators)
 
     @cached_property
     def _pivots(self) -> tuple[int, ...]:
-        cols = []
-        for r in self.generators.rows:
-            cols.append((r.bits & -r.bits).bit_length() - 1)
-        return tuple(cols)
+        return tuple((r.bits & -r.bits).bit_length() - 1 for r in self.generators)
 
     def __contains__(self, v: BitVector) -> bool:
-        if v.length != self.length:
-            return False
-        return not reduce_by(v, self.generators, self._pivots)
+        return v.length == self.length and not self.coset_rep(v)
 
     def coset_rep(self, v: BitVector) -> BitVector:
         """Canonical representative of v + C."""
-        return reduce_by(v, self.generators, self._pivots)
+        rows = (r.bits for r in self.generators)
+        return BitVector(v.length, reduce_bits(v.bits, rows, self._pivots))
 
     @cached_property
     def is_self_orthogonal(self) -> bool:
-        rows = self.generators.rows
+        rows = self.generators
         return all(
             rows[i].dot(rows[j]) == 0
             for i in range(len(rows))
@@ -301,7 +245,7 @@ class LinearCode:
 
     def words(self) -> Iterator[BitVector]:
         """Yields all codewords.  Only sensible for small dimensions."""
-        rows = [r.bits for r in self.generators.rows]
+        rows = [r.bits for r in self.generators]
         for m in range(1 << len(rows)):
             bits = 0
             for i, r in enumerate(rows):
@@ -328,10 +272,6 @@ class CosetSplit:
     r2: BitVector
     r3: BitVector
 
-    @property
-    def pieces(self) -> tuple[BitVector, BitVector, BitVector]:
-        return (self.r1, self.r2, self.r3)
-
 
 @dataclass(frozen=True)
 class ShadowCoset:
@@ -357,21 +297,18 @@ def dual(code: LinearCode) -> LinearCode:
     non-pivot column there is one dual generator supported on that column
     and the pivot columns whose rows have a 1 there.
     """
-    n = code.length
-    gens = code.generators
     pivots = code._pivots
     pivot_set = set(pivots)
     out = []
-    for col in range(n):
+    for col in range(code.length):
         if col in pivot_set:
             continue
         bits = 1 << col
-        for row, p in zip(gens.rows, pivots):
+        for row, p in zip(code.generators, pivots):
             if row.bits >> col & 1:
                 bits |= 1 << p
-        out.append(BitVector(n, bits))
-    reduced, _, _ = rref(BitMatrix(n, tuple(out)))
-    return LinearCode(n, reduced)
+        out.append(bits)
+    return LinearCode.from_rows(code.length, out)
 
 
 def parity_class(code: LinearCode) -> ParityClass:
@@ -384,7 +321,7 @@ def parity_class(code: LinearCode) -> ParityClass:
         raise ValueError("parity class is defined for self-dual codes only")
     # With even pairwise overlaps, weights mod 4 are determined by the
     # generator weights: the code is doubly even iff every generator is.
-    if all(r.weight % 4 == 0 for r in code.generators.rows):
+    if all(r.weight % 4 == 0 for r in code.generators):
         return ParityClass.DOUBLY_EVEN
     return ParityClass.SINGLY_EVEN
 
@@ -397,8 +334,8 @@ def _kernel_rows(
     f must not vanish on C.  Returns the rows and the anchor: the first
     generator with f = 1, which is XORed onto every other such generator.
     """
-    ortho = [r for r in code.generators.rows if not f(r)]
-    rest = [r for r in code.generators.rows if f(r)]
+    ortho = [r for r in code.generators if not f(r)]
+    rest = [r for r in code.generators if f(r)]
     anchor = rest[0]
     return ortho + [anchor ^ r for r in rest[1:]], anchor
 
@@ -415,7 +352,7 @@ def doubly_even_subcode(code: LinearCode) -> LinearCode:
     rows, _ = _kernel_rows(code, lambda r: r.weight >> 1 & 1)
     sub = LinearCode.from_rows(code.length, rows)
     assert sub.dimension == code.dimension - 1
-    assert all(r.weight % 4 == 0 for r in sub.generators.rows)
+    assert all(r.weight % 4 == 0 for r in sub.generators)
     return sub
 
 
@@ -430,12 +367,12 @@ def shadow(code: LinearCode) -> ShadowCoset:
     """
     c0 = doubly_even_subcode(code)
     c0_perp = dual(c0)
-    out_c = [v for v in c0_perp.generators.rows if v not in code]
+    out_c = [v for v in c0_perp.generators if v not in code]
     if not out_c:
         raise ValueError("dual of C0 does not extend C")  # unreachable for valid input
     s = out_c[0]
     # The other shadow coset of C0 is s + c for any c in C \ C0.
-    c2 = next(r for r in code.generators.rows if r.weight % 4 == 2)
+    c2 = next(r for r in code.generators if r.weight % 4 == 2)
     a = c0.coset_rep(s)
     b = c0.coset_rep(s ^ c2)
     rep = a if a.sort_key() <= b.sort_key() else b
@@ -508,7 +445,7 @@ def loads_code(text: str) -> LinearCode:
 
 def dumps_code(code: LinearCode) -> str:
     header = f"# [{code.length},{code.dimension}] binary code, RREF generators\n"
-    return header + "".join(r.to01() + "\n" for r in code.generators.rows)
+    return header + "".join(r.to01() + "\n" for r in code.generators)
 
 
 def load_code(path) -> LinearCode:
@@ -533,7 +470,7 @@ def code_to_json(code: LinearCode) -> dict:
     return {
         "length": code.length,
         "dimension": code.dimension,
-        "rows": [r.to01() for r in code.generators.rows],
+        "rows": [r.to01() for r in code.generators],
     }
 
 

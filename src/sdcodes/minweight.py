@@ -49,7 +49,7 @@ processes, which read the materialized levels (about 86 MB at n = 82)
 copy-on-write instead of receiving a pickled copy.  That per-level pool
 no longer pays: on two cores, counting a Table 1 neighbor to weight 16
 takes 0.73 s with two workers against 0.42 s with one.  It is kept only
-until one process per certificate replaces it (ROADMAP item 4).
+until one process per certificate replaces it.
 
 numpy is imported on the first enumeration, not with the module: code
 construction, the exact algebra and the CLI's start-up never need it, and
@@ -245,7 +245,7 @@ class _Engine:
             raise ValueError("the zero code has no enumerable words")
         self.n = code.length
         self.k = code.dimension
-        gen_rows = [r.bits for r in code.generators.rows]
+        gen_rows = [r.bits for r in code.generators]
         off = offset.bits if offset is not None else 0
         self.sets = _build_info_sets(gen_rows, self.n)
         pivot_masks = [sum(1 << c for c in s.pivots) for s in self.sets]
@@ -309,13 +309,8 @@ class _Engine:
         s = self.sets[si]
         while len(mat) - 1 < r:
             prev = len(mat) - 1
-            parts = []
-            for m in range(prev, self.k):
-                cnt = comb(m, prev)
-                if cnt:
-                    parts.append(mat[prev][:cnt] ^ s.rows_np[m])
-            nxt = np.concatenate(parts) if parts else np.empty(
-                (0, s.rows_np.shape[1]), dtype=np.uint64
+            nxt = np.concatenate(
+                [mat[prev][: comb(m, prev)] ^ s.rows_np[m] for m in range(prev, self.k)]
             )
             assert nxt.shape[0] == comb(self.k, prev + 1)
             mat.append(nxt)
@@ -604,7 +599,7 @@ def _brute(code: LinearCode, offset: int) -> WeightDistribution:
     if k > _BRUTE_MAX_DIM:
         raise ValueError(f"dimension {k} exceeds brute-force limit {_BRUTE_MAX_DIM}")
     words = _nwords(n)
-    rows = [_pack(r.bits, words) for r in code.generators.rows]
+    rows = [_pack(r.bits, words) for r in code.generators]
     base_dim = min(k, 20)
     arr = _pack(offset, words).reshape(1, -1)
     for i in range(base_dim):

@@ -124,8 +124,6 @@ FAMILIES = {
     "W130": (130, 22, "min5", W130_C, W130_S),
 }
 
-FAMILY_DMIN = {58: 10, 82: 14, 106: 18, 130: 22}
-
 # -- W(1) - W(3) basis display rows -----------------------------------------
 
 C1_DISPLAY = {
@@ -243,10 +241,6 @@ C82_MIN_WEIGHT = 14
 C82_SHADOW_MIN = 1
 C82_A14 = 560
 C82_B13 = 560
-# (alpha, beta) inversion from exact counts for the n=82 families with B_5 <= 1:
-# A_14 = 3280 + 2*beta and A_16 = 36244 + 128*alpha - 2*beta.
-NEIGHBOR_A14_BASE = 3280
-NEIGHBOR_A16_BASE = 36244
 
 
 def form_of(spec) -> LinearForm:

@@ -21,8 +21,8 @@ def e8_code() -> LinearCode:
 
 def _neighbor_step(code: LinearCode, x: BitVector) -> LinearCode:
     """<(C intersect x-perp), x> for even-weight x; equals C when x in C."""
-    ortho = [r for r in code.generators.rows if r.dot(x) == 0]
-    rest = [r for r in code.generators.rows if r.dot(x) == 1]
+    ortho = [r for r in code.generators if r.dot(x) == 0]
+    rest = [r for r in code.generators if r.dot(x) == 1]
     if not rest:
         return code
     anchor = rest[0]

@@ -156,7 +156,7 @@ def test_ac7_oracle_equivalence():
             if parity_class(code) is ParityClass.SINGLY_EVEN:
                 s = shadow(code)
                 words = [BitVector(n, 0)]
-                for gen in dual(s.c0).generators.rows:
+                for gen in dual(s.c0).generators:
                     words += [w ^ gen for w in words]
                 brute_shadow = {w.bits for w in words if w not in code}
                 assert brute_shadow == {(s.rep ^ c).bits for c in code.words()}
@@ -189,11 +189,11 @@ def _check_extension(base: LinearCode, x: BitVector, coset_elems: list[int]):
     # predicted weight-1 shadow vector, by wt(x) mod 4
     v1 = BitVector(ext.length, 1 if x.weight % 4 == 1 else 2)
     ext0 = doubly_even_subcode(ext)
-    assert all(v1.dot(g) == 0 for g in ext0.generators.rows)
+    assert all(v1.dot(g) == 0 for g in ext0.generators)
     assert v1 not in ext
     # the doubly even subcode is the predicted pair of cosets
     assert ext0.dimension == base.dimension
-    assert all(concat(BitVector(2, 0), g) in ext0 for g in split.c0.generators.rows)
+    assert all(concat(BitVector(2, 0), g) in ext0 for g in split.c0.generators)
     if x.weight % 4 == 1:
         assert concat(BitVector(2, 2), split.r3) in ext0
     else:
@@ -207,7 +207,7 @@ def _check_extension(base: LinearCode, x: BitVector, coset_elems: list[int]):
 
 def _subcode_words(split) -> list[int]:
     words = [0]
-    for g in split.c0.generators.rows:
+    for g in split.c0.generators:
         words += [w ^ g.bits for w in words]
     return words
 
@@ -221,8 +221,8 @@ def test_ac8_extension_shadow_property():
         ext, v1 = _check_extension(base8, x, _subcode_words(coset_split(base8, x)))
         assert v1 in shadow(ext)
 
-    rows = [concat(r, BitVector(8, 0)) for r in base8.generators.rows]
-    rows += [concat(BitVector(8, 0), r) for r in base8.generators.rows]
+    rows = [concat(r, BitVector(8, 0)) for r in base8.generators]
+    rows += [concat(BitVector(8, 0), r) for r in base8.generators]
     base16 = LinearCode.from_rows(16, rows)
     assert base16.is_self_dual
     assert parity_class(base16) is ParityClass.DOUBLY_EVEN

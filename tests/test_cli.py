@@ -8,6 +8,7 @@ import pytest
 
 from sdcodes.cli import main
 from sdcodes.gf2core import LinearCode, load_code, save_code
+from sdcodes.wefsym import SHADOW_CASES
 from conftest import e8_code, pairs_code
 
 
@@ -168,9 +169,10 @@ class TestWefPossible:
         assert "free coefficients: a2" in out
         assert "y^4: 5 + a2" in out
 
-    def test_case_without_table_exits_2(self, capsys):
+    @pytest.mark.parametrize("case", SHADOW_CASES)
+    def test_case_without_table_exits_2(self, case, capsys):
         rc, _, err = run(
-            ["wef", "possible", "--n", "20", "--dmin", "4", "--shadow-case", "ge5"],
+            ["wef", "possible", "--n", "20", "--dmin", "4", "--shadow-case", case],
             capsys,
         )
         assert rc == 2

@@ -15,7 +15,6 @@ from sdcodes.constructions import (
     build_b80,
     build_c82,
     neighbor,
-    neighbor_counts,
     neighbor_parameters,
     table1,
     tsai_extend,
@@ -55,16 +54,13 @@ class TestBorderedDoubleCirculant:
         assert parity_class(code) is ParityClass.SINGLY_EVEN
 
     def test_all_ones_row_rejected(self):
-        # both shift conventions fail self-orthogonality, checked directly
-        for reverse in (False, True):
-            code = _assemble(spec_of("111"), reverse=reverse)
-            assert not code.is_self_orthogonal
+        assert not _assemble(spec_of("111")).is_self_orthogonal
         with pytest.raises(ValueError, match="self-orthogonal"):
             bordered_double_circulant(spec_of("111"))
 
     def test_unbordered_shape(self):
         spec = CirculantSpec(first_row=BitVector.from01("110"), border=False)
-        code = _assemble(spec, reverse=False)
+        code = _assemble(spec)
         assert (code.length, code.dimension) == (6, 3)
 
     def test_base_code_certificate(self):
@@ -79,11 +75,41 @@ class TestBorderedDoubleCirculant:
         first = "1101000"
         m = len(first)
         spec = CirculantSpec(first_row=BitVector.from01(first), border=False)
-        code = _assemble(spec, reverse=False)
-        for i, row in enumerate(code.generators.rows):
+        code = _assemble(spec)
+        for i, row in enumerate(code.generators):
             ident = "0" * i + "1" + "0" * (m - 1 - i)
             shifted = first[-i:] + first[:-i] if i else first
             assert row.to01() == ident + shifted
+
+    @pytest.mark.parametrize("border", [True, False])
+    def test_left_shifts_give_the_same_gram_matrix(self, border):
+        # row i of the left-shift block is row m - i of the right-shift one,
+        # so the Gram matrix changes from c(i - j) to c(j - i), where c is
+        # the first row's cyclic autocorrelation; c is symmetric, so a
+        # first row is self-orthogonal under both conventions or neither
+        def rows(first: str, left: bool) -> list[int]:
+            m = len(first)
+            circ = [
+                first[i:] + first[:i] if left else first[m - i:] + first[:m - i]
+                for i in range(m)
+            ]
+            block = ["0" + "1" * m] + ["1" + r for r in circ] if border else circ
+            w = len(block)
+            return [
+                BitVector.from01("0" * i + "1" + "0" * (w - 1 - i) + r).bits
+                for i, r in enumerate(block)
+            ]
+
+        def gram(g: list[int]) -> list[list[int]]:
+            return [[(u & v).bit_count() & 1 for v in g] for u in g]
+
+        for m in range(1, 10):
+            for bits in range(1 << m):
+                first = format(bits, f"0{m}b")
+                right = rows(first, left=False)
+                code = _assemble(CirculantSpec(BitVector.from01(first), border))
+                assert [r.bits for r in code.generators] == right
+                assert gram(rows(first, left=True)) == gram(right), first
 
 
 class TestTsaiExtend:
@@ -189,23 +215,16 @@ class TestNeighbor:
 
 class TestParameterInversion:
     def test_round_trip(self):
-        for alpha, beta in ((18, -750), (0, -640), (2, -658), (0, -656)):
-            a14, a16 = neighbor_counts(alpha, beta)
-            assert neighbor_parameters(a14, a16) == (alpha, beta)
-
-    def test_counts_agree_with_the_shadow_families(self):
-        # a second derivation of (A_14, A_16): the symbolic n = 82 family
-        # of each row's shadow case, evaluated at the recorded (alpha, beta)
+        # (A_14, A_16) read off the symbolic n = 82 family of each Table 1
+        # row's shadow case and of the corrected point, at its (alpha, beta)
         families = {case: family_for(82, 14, case) for case in ("min5", "min9")}
-        for fam in families.values():
-            wc = fam.wc
-            assert wc.coeff(14).constant == ref.NEIGHBOR_A14_BASE
-            assert wc.coeff(16).constant == ref.NEIGHBOR_A16_BASE
-        for spec in table1():
-            wc = families[spec.shadow_case].wc
-            point = {"alpha": spec.alpha, "beta": spec.beta}
-            got = (wc.coeff(14).evaluate(point), wc.coeff(16).evaluate(point))
-            assert got == neighbor_counts(spec.alpha, spec.beta), spec.index
+        points = [(s.shadow_case, s.alpha, s.beta) for s in table1()]
+        points.append((ref.DGH_CASE, ref.DGH_POINT["alpha"], ref.DGH_POINT["beta"]))
+        for case, alpha, beta in points:
+            wc = families[case].wc
+            point = {"alpha": alpha, "beta": beta}
+            a14, a16 = (wc.coeff(w).evaluate(point) for w in (14, 16))
+            assert neighbor_parameters(a14, a16) == (alpha, beta), (case, alpha, beta)
 
     def test_rejects_off_lattice(self):
         with pytest.raises(ValueError, match="A_14"):

@@ -1,11 +1,10 @@
-"""Core GF(2) machinery: vectors, RREF, duality, shadows, splits, file I/O."""
+"""Core GF(2) machinery: vectors, RREF codes, duality, shadows, splits, file I/O."""
 
 import json
 
 import pytest
 
 from sdcodes.gf2core import (
-    BitMatrix,
     BitVector,
     CosetSplit,
     LinearCode,
@@ -22,8 +21,6 @@ from sdcodes.gf2core import (
     loads_code,
     parity_class,
     rains_bound,
-    reduce_by,
-    rref,
     save_code,
     shadow,
 )
@@ -53,7 +50,6 @@ class TestBitVector:
     def test_dot_and_overlap(self):
         a = BitVector.from01("1101")
         b = BitVector.from01("1011")
-        assert a.overlap(b) == 2
         assert a.dot(b) == 0
         assert a.dot(BitVector.from01("0111")) == 0
         assert a.dot(BitVector.from01("1000")) == 1
@@ -80,33 +76,35 @@ class TestBitVector:
 
 
 class TestRref:
+    """A code is the RREF of its rows: canonical, idempotent, coset-exact."""
+
     def test_small_example(self):
-        m = BitMatrix.from_rows(4, ["1100", "0110", "1010"])
-        reduced, rank, pivots = rref(m)
-        assert rank == 2
-        assert pivots == (0, 1)
-        assert [r.to01() for r in reduced.rows] == ["1010", "0110"]
+        code = LinearCode.from_rows(4, ["1100", "0110", "1010"])
+        assert code.dimension == 2
+        assert code._pivots == (0, 1)
+        assert [r.to01() for r in code.generators] == ["1010", "0110"]
 
     def test_idempotent_and_span_preserved(self, rng):
         for _ in range(25):
             n = rng.randrange(3, 12)
             rows = [BitVector(n, rng.getrandbits(n)) for _ in range(rng.randrange(1, 8))]
-            m = BitMatrix(n, tuple(rows))
-            red, rank, pivots = rref(m)
-            red2, rank2, pivots2 = rref(red)
-            assert (red2, rank2, pivots2) == (red, rank, pivots)
-            # every original row reduces to zero against the basis
+            code = LinearCode.from_rows(n, rows)
+            assert LinearCode.from_rows(n, code.generators) == code
+            assert list(code._pivots) == sorted(set(code._pivots))
             for r in rows:
-                assert not reduce_by(r, red, pivots)
+                assert r in code and not code.coset_rep(r)
 
-    def test_reduce_by_is_coset_canonical(self, rng):
-        m = BitMatrix.from_rows(6, ["110000", "001100", "000011"])
-        red, _, pivots = rref(m)
-        v = BitVector.from01("100000")
-        w = BitVector.from01("010000")  # differs from v by a row
-        assert reduce_by(v, red, pivots) == reduce_by(w, red, pivots)
-        u = BitVector.from01("101010")
-        assert reduce_by(u, red, pivots) != reduce_by(v, red, pivots)
+    def test_coset_rep_is_coset_canonical(self, rng):
+        for _ in range(25):
+            n = rng.randrange(3, 12)
+            rows = [rng.getrandbits(n) for _ in range(rng.randrange(1, n))]
+            code = LinearCode.from_rows(n, rows)
+            v = BitVector(n, rng.getrandbits(n))
+            rep = code.coset_rep(v)
+            assert code.coset_rep(rep) == rep
+            assert all(code.coset_rep(v ^ c) == rep for c in code.words())
+            u = BitVector(n, rng.getrandbits(n))
+            assert (code.coset_rep(u) == rep) == ((u ^ v) in code)
 
 
 class TestLinearCode:
@@ -115,6 +113,15 @@ class TestLinearCode:
         b = LinearCode.from_rows(4, ["1111", "0011"])
         assert a == b
         assert a.dimension == 2
+
+    def test_from_rows_accepts_three_row_types(self):
+        code = LinearCode.from_rows(4, ["1100", 0b1100, BitVector.from01("0011")])
+        assert code == LinearCode.from_rows(4, ["1100", "0011"])
+        with pytest.raises(TypeError):
+            LinearCode.from_rows(4, [[1, 1, 0, 0]])
+        for bad in ("110", BitVector.from01("11000"), 1 << 4):
+            with pytest.raises(ValueError):
+                LinearCode.from_rows(4, ["1100", bad])
 
     def test_contains_and_words(self):
         c = e8_code()
@@ -145,8 +152,8 @@ class TestDual:
             d = dual(c)
             assert c.dimension + d.dimension == n
             assert dual(d) == c
-            for u in c.generators.rows:
-                for v in d.generators.rows:
+            for u in c.generators:
+                for v in d.generators:
                     assert u.dot(v) == 0
 
     def test_dual_is_full_orthogonal_space(self):
@@ -155,7 +162,7 @@ class TestDual:
         brute = [
             BitVector(5, b)
             for b in range(32)
-            if all(BitVector(5, b).dot(g) == 0 for g in c.generators.rows)
+            if all(BitVector(5, b).dot(g) == 0 for g in c.generators)
         ]
         assert sorted(v.bits for v in d.words()) == sorted(v.bits for v in brute)
 
@@ -221,7 +228,7 @@ class TestCosetSplit:
             assert c0.dimension == 3
             all_words = {v.bits for v in dual(c0).words()}
             union = set()
-            for rep in (BitVector.zero(8),) + split.pieces:
+            for rep in (BitVector.zero(8), split.r1, split.r2, split.r3):
                 piece = {(rep ^ v).bits for v in c0.words()}
                 assert not (piece & union)
                 union |= piece

@@ -83,7 +83,7 @@ class TestBruteForce:
 
 def check_info_sets(c):
     """The information-set invariants the lower bound relies on."""
-    gens = [r.bits for r in c.generators.rows]
+    gens = [r.bits for r in c.generators]
     k = len(gens)
     sets = mw._build_info_sets(gens, c.length)
     assert sets and sets[0].rows_int == gens
@@ -224,7 +224,7 @@ class TestCountWords:
             assert c.dimension == k
             codes.append(c)
         for c in codes:
-            gens = [r.bits for r in c.generators.rows]
+            gens = [r.bits for r in c.generators]
             assert any(s.defect for s in mw._build_info_sets(gens, c.length))
             x = BitVector(c.length, rng.getrandbits(c.length))
             brute = brute_force_wef(c)
@@ -261,7 +261,7 @@ class TestCosets:
 
     def test_coset_containing_zero(self, rng):
         c = random_self_dual(12, rng)
-        x = c.generators.rows[0]
+        x = c.generators[0]
         assert coset_min_weight(c, x) == 0
 
     def test_coset_counts_match_brute(self, rng):

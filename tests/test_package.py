@@ -12,7 +12,7 @@ import pytest
 import sdcodes
 
 PUBLIC_NAMES = """
-BitMatrix BitVector CosetSplit LinearCode ParityClass ParseError ShadowCoset
+BitVector CosetSplit LinearCode ParityClass ParseError ShadowCoset
 code_from_json code_to_json concat coset_split doubly_even_subcode dual
 dumps_code load_code loads_code parity_class rains_bound save_code shadow
 SearchBudget WeightDistribution brute_force_coset_wef brute_force_wef
@@ -22,12 +22,12 @@ InfeasibleCase LinearForm ParamPoly SHADOW_CASES apply_shadow_case c1_basis
 derive_parity display_cutoffs family_for family_to_json feasible_range
 gleason_expand shadow_transform w1_family B80_FIRST_ROW CirculantSpec
 FAMILY_CASES NeighborSpec X80_SUPPORT bordered_double_circulant build_b80
-build_c82 neighbor neighbor_counts neighbor_parameters table1 tsai_extend
+build_c82 neighbor neighbor_parameters table1 tsai_extend
 """.split()
 
 
 def test_public_names_are_attributes():
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 58
     assert [nm for nm in PUBLIC_NAMES if not hasattr(sdcodes, nm)] == []
 
 

@@ -107,7 +107,7 @@ class TestFamilies:
     def test_displayed_prefix(self, fid):
         n, dmin, case, pc, ps = ref.FAMILIES[fid]
         fam = family_for(n, dmin, case)
-        assert fam.d == dmin == ref.FAMILY_DMIN[n]
+        assert fam.d == dmin == 4 * (n // 24) + 2
         assert ref.check_prefix(fam.wc, pc) == []
         assert ref.check_prefix(fam.ws, ps) == []
 
