@@ -215,9 +215,20 @@ class TestNeighbor:
 
 class TestParameterInversion:
     def test_round_trip(self):
-        # (A_14, A_16) read off the symbolic n = 82 family of each Table 1
-        # row's shadow case and of the corrected point, at its (alpha, beta)
+        # (A_14, A_16) from the docstring's lattice, inverted back
+        for alpha, beta in ((18, -750), (0, -640), (2, -658), (0, -656)):
+            a14, a16 = 3280 + 2 * beta, 36244 + 128 * alpha - 2 * beta
+            assert neighbor_parameters(a14, a16) == (alpha, beta)
+
+    def test_counts_agree_with_the_shadow_families(self):
+        # a second derivation of (A_14, A_16): the symbolic n = 82 family
+        # of each Table 1 row's shadow case and of the corrected point,
+        # evaluated at its (alpha, beta), inverts to that (alpha, beta)
         families = {case: family_for(82, 14, case) for case in ("min5", "min9")}
+        for fam in families.values():
+            wc = fam.wc
+            base = (wc.coeff(14).constant, wc.coeff(16).constant)
+            assert neighbor_parameters(*base) == (0, 0)
         points = [(s.shadow_case, s.alpha, s.beta) for s in table1()]
         points.append((ref.DGH_CASE, ref.DGH_POINT["alpha"], ref.DGH_POINT["beta"]))
         for case, alpha, beta in points:
