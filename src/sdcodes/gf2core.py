@@ -453,7 +453,11 @@ def load_code(path) -> LinearCode:
     with open(path) as f:
         text = f.read()
     if str(path).endswith(".json"):
-        return code_from_json(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON: {e}") from e
+        return code_from_json(obj)
     return loads_code(text)
 
 
@@ -475,13 +479,13 @@ def code_to_json(code: LinearCode) -> dict:
 
 
 def code_from_json(obj: dict) -> LinearCode:
+    """Parses the JSON format.  Raises ParseError on a missing or malformed field."""
     try:
-        length = int(obj["length"])
-        rows = list(obj["rows"])
-    except (KeyError, TypeError) as e:
+        code = LinearCode.from_rows(int(obj["length"]), list(obj["rows"]))
+        declared = int(obj["dimension"]) if "dimension" in obj else code.dimension
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"missing or malformed field: {e}") from e
-    code = LinearCode.from_rows(length, rows)
-    if "dimension" in obj and code.dimension != int(obj["dimension"]):
+    if code.dimension != declared:
         raise ParseError(
             f"declared dimension {obj['dimension']} but rows span {code.dimension}"
         )

@@ -39,17 +39,25 @@ out, because no earlier set has them among its pivots.  Only the weight
 test masks the borrowed columns out, since r already counts them.
 
 Level r of a set is materialized in colex order from level r - 1 while the
-level fits under a byte cap; higher levels are streamed as suffix tuples
-XORed onto the largest materialized level.  Counts are deterministic: they
-do not depend on chunk sizes or on the number of workers.
+set's levels 0..r together fit in ``_MAT_CAP`` bytes; higher levels are
+streamed as suffix tuples XORed onto the largest materialized level.
+Counts are deterministic: they do not depend on chunk sizes or on the
+number of workers.
+
+Counting finishes one set before it starts the next, and later sets read
+only the earlier sets' pivot masks, so a set's levels are freed as soon as
+its planned levels are done.  While counting, the engine thus holds at
+most ``_MAT_CAP`` bytes of levels plus one chunk's working set: at n = 82,
+levels 0..6 of one set, 43 MB.  The minimum-weight search keeps every
+set's levels, because iterative deepening returns to earlier sets.
 
 Serial counting is the one-worker case of one chunk loop; with more
 workers the same chunk descriptors go to a per-level pool of forked
-processes, which read the materialized levels (about 86 MB at n = 82)
-copy-on-write instead of receiving a pickled copy.  That per-level pool
-no longer pays: on two cores, counting a Table 1 neighbor to weight 16
-takes 0.73 s with two workers against 0.42 s with one.  It is kept only
-until one process per certificate replaces it.
+processes, which read the materialized levels copy-on-write instead of
+receiving a pickled copy.  That per-level pool no longer pays: on two
+cores, counting a Table 1 neighbor to weight 16 takes 0.73 s with two
+workers against 0.42 s with one.  It is kept only until one process per
+certificate replaces it.
 
 numpy is imported on the first enumeration, not with the module: code
 construction, the exact algebra and the CLI's start-up never need it, and
@@ -81,8 +89,9 @@ class _LazyNumpy:
 np = _LazyNumpy()
 
 _CHUNK = 1 << 20
-# cap on a materialized level's bytes: at n = 82 a row is one word, so
-# C(41, 6) rows (36 MB) fit and C(41, 7) rows (179 MB) do not
+# cap on the bytes of one set's materialized levels 0..r together: at
+# n = 82 a row is one word, so levels 0..6 (5,358,578 rows, 43 MB) fit and
+# level 7 alone (C(41, 7) rows, 179 MB) does not
 _MAT_CAP = 1 << 26
 _BRUTE_MAX_DIM = 28
 
@@ -268,11 +277,13 @@ class _Engine:
                 else None
             )
             s.masks_np = pack(*pivot_masks[:si])
-            # levels beyond the byte cap stream as suffix tuples
+            # levels 0..mat_limit fit in _MAT_CAP bytes together; deeper
+            # levels stream as suffix tuples
             row_bytes = 8 * max(1, words)
-            r = 0
-            while r < self.k and comb(self.k, r + 1) * row_bytes <= _MAT_CAP:
+            r, held = 0, row_bytes
+            while r < self.k and held + comb(self.k, r + 1) * row_bytes <= _MAT_CAP:
                 r += 1
+                held += comb(self.k, r) * row_bytes
             s.mat_limit = r
         self.step, self.residue = _parity_step(gen_rows, off)
         # per-set materialized colex levels: _mat[si][r] has C(k, r) rows
@@ -302,17 +313,21 @@ class _Engine:
 
         Level r in colex order is the concatenation, over the top row
         index m, of level r - 1 restricted to combinations inside
-        {0..m-1}, XOR row m.  The base offset is already folded into
-        level 0, and XOR keeps it folded at every level.
+        {0..m-1}, XOR row m.  Each level is allocated once and every such
+        slice is XORed straight into it.  The base offset is already
+        folded into level 0, and XOR keeps it folded at every level.
         """
         mat = self._mat[si]
-        s = self.sets[si]
+        rows = self.sets[si].rows_np
         while len(mat) - 1 < r:
             prev = len(mat) - 1
-            nxt = np.concatenate(
-                [mat[prev][: comb(m, prev)] ^ s.rows_np[m] for m in range(prev, self.k)]
-            )
-            assert nxt.shape[0] == comb(self.k, prev + 1)
+            nxt = np.empty((comb(self.k, prev + 1), rows.shape[1]), dtype=np.uint64)
+            at = 0
+            for m in range(prev, self.k):
+                cnt = comb(m, prev)
+                np.bitwise_xor(mat[prev][:cnt], rows[m], out=nxt[at : at + cnt])
+                at += cnt
+            assert at == nxt.shape[0]
             mat.append(nxt)
 
     def _chunks(self, si: int, r: int) -> Iterator[tuple]:
@@ -474,6 +489,8 @@ class _Engine:
                             hist, (self.tally(si, w, caps, c) for c in chunks)
                         )
                     done[si] = r
+                # later sets never read these levels: their dedup reads masks_np
+                self._mat[si].clear()
         except _Exhausted:
             exhausted = True
         certified = min(w, self.raw_bound(done) - 1) if exhausted else w

@@ -30,6 +30,17 @@ def _neighbor_step(code: LinearCode, x: BitVector) -> LinearCode:
     return LinearCode.from_rows(code.length, rows)
 
 
+# JSON code files that must be refused with a ParseError: a row of the wrong
+# length, a row that is neither a string nor an int, a length that is not
+# an int, and text that is not JSON
+MALFORMED_JSON = {
+    "wrong-length-row": '{"length": 4, "rows": ["110"]}',
+    "float-row": '{"length": 4, "rows": [1.5]}',
+    "string-length": '{"length": "x", "rows": []}',
+    "not-json": "{",
+}
+
+
 def random_self_dual(n: int, rng: random.Random, steps: int | None = None) -> LinearCode:
     """A random self-dual code of even length n, via a neighbor random walk."""
     code = pairs_code(n)

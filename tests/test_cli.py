@@ -9,7 +9,7 @@ import pytest
 from sdcodes.cli import main
 from sdcodes.gf2core import LinearCode, load_code, save_code
 from sdcodes.wefsym import SHADOW_CASES
-from conftest import e8_code, pairs_code
+from conftest import MALFORMED_JSON, e8_code, pairs_code
 
 
 def run(argv, capsys):
@@ -81,6 +81,15 @@ class TestCodeCommands:
         rc, _, err = run(["code", "check", str(path)], capsys)
         assert rc == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+    def test_malformed_json_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc, _, err = run(["code", "check", str(path)], capsys)
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file_exits_2(self, capsys):
         rc, _, err = run(["code", "check", "/nonexistent/file.txt"], capsys)

@@ -24,7 +24,13 @@ from sdcodes.gf2core import (
     save_code,
     shadow,
 )
-from conftest import e8_code, pairs_code, random_self_dual, random_singly_even
+from conftest import (
+    MALFORMED_JSON,
+    e8_code,
+    pairs_code,
+    random_self_dual,
+    random_singly_even,
+)
 
 
 class TestBitVector:
@@ -301,6 +307,13 @@ class TestFileFormats:
         obj["dimension"] = 2
         with pytest.raises(ParseError):
             code_from_json(obj)
+
+    @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+    def test_malformed_json_is_a_parse_error(self, tmp_path, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        with pytest.raises(ParseError):
+            load_code(p)
 
     def test_dumps_includes_rows(self):
         text = dumps_code(e8_code())

@@ -3,12 +3,15 @@
 Brute-force enumeration over all 2^k words is the oracle throughout.
 """
 
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sdcodes.minweight as mw
+from sdcodes.constructions import build_c82, table1
 from sdcodes.gf2core import BitVector, LinearCode
 from sdcodes.minweight import (
     SearchBudget,
@@ -114,6 +117,47 @@ class TestInfoSets:
     def test_defective_case(self):
         sets = check_info_sets(LinearCode.from_rows(4, ["1100", "1010"]))
         assert [s.defect for s in sets] == [0, 1]
+
+
+class TestLevels:
+    def test_colex_layout(self, rng):
+        """Level r of a set is base ^ XOR of each r-subset of rows, in colex order."""
+        for _ in range(12):
+            n = rng.choice([16, 40, 70, 130])
+            c = LinearCode.from_rows(n, [rng.getrandbits(n) for _ in range(12)])
+            e = mw._Engine(c, BitVector(n, rng.getrandbits(n)), None)
+            for si, s in enumerate(e.sets):
+                assert s.mat_limit == e.k
+                e._materialize(si, e.k)
+                for r, level in enumerate(e._mat[si]):
+                    subsets = sorted(
+                        itertools.combinations(range(e.k), r), key=lambda t: t[::-1]
+                    )
+                    want = [
+                        s.base_np ^ np.bitwise_xor.reduce(s.rows_np[list(t)], axis=0)
+                        for t in subsets
+                    ]
+                    assert level.tolist() == np.array(want).tolist()
+
+
+class TestMemory:
+    def test_count_holds_one_set_of_levels(self):
+        """Counting holds at most _MAT_CAP bytes of levels plus one chunk's rows.
+
+        Both information sets of a Table 1 neighbor materialize levels 0..6
+        (43 MB each); the first set's levels are freed before the second
+        set's are built.
+        """
+        spec = table1()[0]
+        code = spec.build(build_c82())
+        tracemalloc.start()
+        try:
+            d = count_words_upto(code, 14, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.count(14) == 3280 + 2 * spec.beta
+        assert peak <= mw._MAT_CAP + 2 * mw._CHUNK * 8 + (1 << 20)
 
 
 class TestMinWeight:
