@@ -30,9 +30,7 @@ def _neighbor_step(code: LinearCode, x: BitVector) -> LinearCode:
     return LinearCode.from_rows(code.length, rows)
 
 
-# JSON code files that must be refused with a ParseError: a row of the wrong
-# length, a row that is neither a string nor an int, a length that is not
-# an int, and text that is not JSON
+# JSON code files that load_code must refuse with a ParseError
 MALFORMED_JSON = {
     "wrong-length-row": '{"length": 4, "rows": ["110"]}',
     "float-row": '{"length": 4, "rows": [1.5]}',
